@@ -11,8 +11,9 @@
 //! - [`policy::VcScheme`] — the paper's VC assignments: hop-indexed for
 //!   the Slim Fly (2 VCs minimal / 4 indirect), phase-based for the SSPTs
 //!   (1 VC minimal / 2 indirect);
-//! - [`cdg`] — channel-dependency-graph construction and acyclicity
-//!   checking to *prove* the schemes deadlock-free on concrete instances.
+//! - [`cdg`] — channel-dependency-graph construction, streamed from the
+//!   tables, and acyclicity checking to *prove* the schemes deadlock-free
+//!   on concrete instances.
 
 pub mod cdg;
 pub mod path;
@@ -20,7 +21,8 @@ pub mod policy;
 pub mod tables;
 
 pub use cdg::{
-    all_policy_routes, build_cdg, enumerate_min_paths, try_build_cdg, ChannelError, ChannelGraph,
+    all_policy_routes, build_cdg, enumerate_min_paths, for_each_policy_route, route_census,
+    try_build_cdg, try_build_minimal_cdg, ChannelError, ChannelGraph, RouteShape,
 };
 pub use path::{RoutePath, MAX_PATH_ROUTERS};
 pub use policy::{

@@ -110,6 +110,13 @@ impl MinimalTables {
         self.dist[s as usize * self.r + d as usize]
     }
 
+    /// Minimal hop counts from `s` to every router, indexed by router —
+    /// on the undirected router graph, also the counts *to* `s`.
+    #[inline]
+    pub fn dist_row(&self, s: RouterId) -> &[u8] {
+        &self.dist[s as usize * self.r..(s as usize + 1) * self.r]
+    }
+
     /// Neighbors of `s` that begin a minimal path to `d` (empty iff `s == d`).
     #[inline]
     pub fn first_hops(&self, s: RouterId, d: RouterId) -> &[RouterId] {

@@ -149,9 +149,10 @@ pub fn worst_case_exact(net: &Network) -> Option<SyntheticPattern> {
 ///
 /// - pick an adjacent router pair `(a, b)`;
 /// - `a`'s `p` nodes send to `p` distinct routers `d ∈ N(b)` whose
-///   *only* common neighbor with `a` is `b` (girth 5 makes every
-///   non-adjacent neighbor of `b` such a router), putting `p` full
-///   flows on `a→b`;
+///   *only* common neighbor with `a` is `b`, putting `p` full flows on
+///   `a→b` (on the girth-5 Hoffman–Singleton graph, q = 5, every
+///   neighbor of `b` other than `a` qualifies; larger MMS graphs have
+///   triangles and quadrilaterals, so the search filters for them);
 /// - `p` routers `s ∈ N(a)` whose only common neighbor with `b` is `a`
 ///   each send one node's flow to `b`'s nodes — `p` more full flows on
 ///   `a→b`;
@@ -384,12 +385,14 @@ mod tests {
 
     #[test]
     fn saturating_worst_case_attains_exactly_2p() {
-        // Girth-5 MMS instances (q ≡ 1 mod 4): the exact construction
-        // must land exactly 2p unsplittable flows on one link.
+        // δ = 1 MMS instances (q ≡ 1 mod 4): girth 5 at q = 5 (the
+        // Hoffman–Singleton graph), short cycles at q = 13. Either way the
+        // exact construction must land exactly 2p unsplittable flows on
+        // one link.
         for q in [5u64, 13] {
             let net = slim_fly(q, SlimFlyP::Floor);
             let pat = slim_fly_saturating_worst_case(&net)
-                .unwrap_or_else(|| panic!("q={q}: construction must succeed on girth-5 MMS"));
+                .unwrap_or_else(|| panic!("q={q}: construction must succeed on δ = 1 MMS"));
             assert!(pat.is_valid_permutation(net.num_nodes()), "q={q}");
             let p = net.nodes_at(0);
             assert_eq!(max_link_flows(&net, &pat), 2 * p, "q={q}");

@@ -4,8 +4,13 @@
 
 use crate::diag::{Diagnostic, Severity};
 use crate::VerifyParams;
-use d2net_routing::{enumerate_min_paths, Algorithm, ChannelGraph, RouteChoice, RoutePolicy};
+use d2net_routing::{
+    for_each_policy_route, route_census, try_build_minimal_cdg, Algorithm, ChannelError,
+    ChannelGraph, RouteChoice, RoutePath, RoutePolicy, RouteShape,
+};
 use d2net_topo::{try_validate_sspt, Network, TopologyKind};
+use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 
 /// How many concrete instances of one violation code are spelled out
 /// before the rest are folded into a count.
@@ -19,73 +24,61 @@ fn push(diags: &mut Vec<Diagnostic>, severity: Severity, code: &'static str, mes
     });
 }
 
-/// A route the policy can produce, with everything the checks need.
-pub(crate) struct LabeledRoute {
-    pub choice: RouteChoice,
-    pub vcs: Vec<u8>,
+/// The route space the route and CDG checks read: every route shape the
+/// policy can produce with its route count, the CDG over all its routes,
+/// and, for adaptive policies, the minimal-route escape sub-CDG.
+pub(crate) struct RouteSpace {
+    shapes: Vec<(RouteShape, u64)>,
+    cdg: Result<ChannelGraph, ChannelError>,
+    escape: Option<Result<ChannelGraph, ChannelError>>,
 }
 
-/// Exhaustive policy route space: all minimal paths between endpoint
-/// routers, plus all `minimal ∘ minimal` compositions through the
-/// policy's eligible intermediates for indirect-capable algorithms.
-/// Mirrors `d2net_routing::all_policy_routes`, but keeps the phase
-/// structure each route was built with so the checks can reason about it.
-pub(crate) fn enumerate_labeled_routes(net: &Network, policy: &RoutePolicy) -> Vec<LabeledRoute> {
-    let tables = policy.tables();
-    let mut out = Vec::new();
-    let mut label = |path: d2net_routing::RoutePath, phase_hops: u8, indirect: bool| {
-        let choice = RouteChoice {
-            path,
-            phase_hops,
-            indirect,
-        };
-        let vcs: Vec<u8> = (0..path.num_hops())
-            .map(|h| policy.vc_for_hop(&choice, h))
-            .collect();
-        out.push(LabeledRoute { choice, vcs });
-    };
-    let eps = net.endpoint_routers();
-    for &s in &eps {
-        for &d in &eps {
-            if s == d {
-                continue;
-            }
-            for p in enumerate_min_paths(tables, s, d) {
-                label(p, p.num_hops() as u8, false);
-            }
+/// True for policies that may fall back on a minimal route per packet.
+fn is_adaptive(policy: &RoutePolicy) -> bool {
+    matches!(
+        policy.algorithm(),
+        Algorithm::Ugal { .. } | Algorithm::UgalG { .. }
+    )
+}
+
+impl RouteSpace {
+    /// Streamed from the minimal tables; no route is materialised.
+    pub(crate) fn streamed(net: &Network, policy: &RoutePolicy) -> Self {
+        let (shapes, cdg) = route_census(net, policy);
+        RouteSpace {
+            shapes,
+            cdg,
+            escape: is_adaptive(policy).then(|| try_build_minimal_cdg(net, policy)),
         }
     }
-    if matches!(policy.algorithm(), Algorithm::Minimal) {
-        return out;
-    }
-    for &s in &eps {
-        for &m in policy.intermediates() {
-            if m == s {
-                continue;
-            }
-            for &d in &eps {
-                if d == s || d == m {
-                    continue;
-                }
-                // Mirror the policy's intermediate eligibility rule: both
-                // segments must survive and the composition must fit a
-                // RoutePath (relevant on degraded networks only).
-                if !tables.is_reachable(s, m)
-                    || !tables.is_reachable(m, d)
-                    || tables.dist(s, m) as usize + tables.dist(m, d) as usize
-                        >= d2net_routing::MAX_PATH_ROUTERS
-                {
-                    continue;
-                }
-                for head in enumerate_min_paths(tables, s, m) {
-                    for tail in enumerate_min_paths(tables, m, d) {
-                        label(head.join(&tail), head.num_hops() as u8, true);
-                    }
+
+    /// Enumerated route by route: the reference the streamed space must
+    /// equal.
+    pub(crate) fn enumerated(net: &Network, policy: &RoutePolicy) -> Self {
+        fn add(g: &mut Result<ChannelGraph, ChannelError>, choice: &RouteChoice, vcs: &[u8]) {
+            if let Ok(graph) = g {
+                if let Err(e) = graph.add_route(&choice.path, vcs) {
+                    *g = Err(e);
                 }
             }
         }
+        let mut shapes: BTreeMap<RouteShape, u64> = BTreeMap::new();
+        let mut cdg = Ok(ChannelGraph::new(net, policy.num_vcs()));
+        let mut escape = is_adaptive(policy).then(|| Ok(ChannelGraph::new(net, policy.num_vcs())));
+        for_each_policy_route(net, policy, |choice, vcs| {
+            *shapes.entry(RouteShape::of(choice)).or_default() += 1;
+            add(&mut cdg, choice, vcs);
+            if let (false, Some(esc)) = (choice.indirect, escape.as_mut()) {
+                add(esc, choice, vcs);
+            }
+            ControlFlow::Continue(())
+        });
+        RouteSpace {
+            shapes: shapes.into_iter().collect(),
+            cdg,
+            escape,
+        }
     }
-    out
 }
 
 /// Check 3 (topology lints): connectivity, the declared class's own
@@ -111,23 +104,37 @@ pub(crate) fn check_topology(net: &Network, diags: &mut Vec<Diagnostic>) {
         );
         return;
     }
-    if let Err(e) = net.validate() {
-        push(diags, Severity::Error, "topology-invariant", e);
+    let validated = net.validate();
+    if let Err(e) = &validated {
+        push(diags, Severity::Error, "topology-invariant", e.clone());
     }
 
     // Diameter promise of the class (SF/HyperX promise router diameter 2;
-    // the indirect SSPT designs promise endpoint diameter 2).
+    // the indirect SSPT designs promise endpoint diameter 2). `validate`
+    // checks exactly that promise for every class but `Custom`, so a
+    // passing class needs no second all-pairs BFS.
     let promises_diameter_two = !matches!(net.kind(), TopologyKind::Custom { .. });
-    let (scope, dia) = match net.kind() {
-        TopologyKind::SlimFly(_) | TopologyKind::HyperX2(_) => ("router", net.diameter()),
-        _ => ("endpoint", net.endpoint_diameter()),
+    let router_scope = matches!(
+        net.kind(),
+        TopologyKind::SlimFly(_) | TopologyKind::HyperX2(_)
+    );
+    let scope = if router_scope { "router" } else { "endpoint" };
+    let dia = if promises_diameter_two && validated.is_ok() {
+        2
+    } else if router_scope {
+        net.diameter()
+    } else {
+        net.endpoint_diameter()
     };
     if promises_diameter_two && dia > 2 {
         push(
             diags,
             Severity::Error,
             "diameter-promise",
-            format!("{} claims diameter 2 but {scope} diameter is {dia}", net.name()),
+            format!(
+                "{} claims diameter 2 but {scope} diameter is {dia}",
+                net.name()
+            ),
         );
     } else {
         push(
@@ -156,7 +163,7 @@ pub(crate) fn check_topology(net: &Network, diags: &mut Vec<Diagnostic>) {
                 Err(e) => push(diags, Severity::Error, "sspt-structure", e),
             }
         }
-        TopologyKind::SlimFly(p) => check_sf_girth(net, p.delta, diags),
+        TopologyKind::SlimFly(p) => check_sf_girth(net, p.q, p.delta, diags),
         _ => {}
     }
 
@@ -296,21 +303,37 @@ fn check_degraded_topology(net: &Network, diags: &mut Vec<Diagnostic>) {
     );
 }
 
-/// Slim Fly girth census. The original McKay–Miller–Širáň family
-/// (`q ≡ 1 mod 4`, δ = 1) has girth 5 — no triangles (adjacent routers
-/// share no neighbor) and no quadrilaterals (no pair shares two or more
-/// neighbors) — which underpins the paper's path-diversity analysis, so
-/// a violation there is an error. Hafner's δ ∈ {0, −1} extensions that
-/// Slim Fly also uses trade girth for order and legitimately contain
-/// short cycles; for those the census is informational.
-fn check_sf_girth(net: &Network, delta: i64, diags: &mut Vec<Diagnostic>) {
+/// Slim Fly girth census: adjacent router pairs that share a neighbor
+/// (triangles) and non-adjacent pairs that share two or more
+/// (quadrilaterals). Girth 5 at diameter 2 makes a Moore graph, which by
+/// Hoffman–Singleton exists only for degree 2, 3, 7 and perhaps 57. Of
+/// the MMS graphs only q = 5 — the Hoffman–Singleton graph, degree 7 — is
+/// one, so short cycles there are an ERROR; every other q and δ has them
+/// by necessity and the census is informational. (`Network::validate`
+/// already holds each MMS graph to its 2q² routers, degree r′ and
+/// diameter 2.) Common neighbors are counted by popcount over bitset
+/// adjacency rows.
+fn check_sf_girth(net: &Network, q: u64, delta: i64, diags: &mut Vec<Diagnostic>) {
+    let r = net.num_routers() as usize;
+    let words = r.div_ceil(64);
+    let mut rows = vec![0u64; r * words];
+    for a in 0..r {
+        for &b in net.neighbors(a as u32) {
+            rows[a * words + b as usize / 64] |= 1 << (b % 64);
+        }
+    }
+    let row = |a: usize| &rows[a * words..(a + 1) * words];
     let mut triangles = 0u64;
     let mut quads = 0u64;
-    for a in 0..net.num_routers() {
-        for b in (a + 1)..net.num_routers() {
-            let common = net.common_neighbors(a, b).len();
-            if net.are_adjacent(a, b) {
-                triangles += common as u64;
+    for a in 0..r {
+        for b in (a + 1)..r {
+            let common: u64 = row(a)
+                .iter()
+                .zip(row(b))
+                .map(|(x, y)| u64::from((x & y).count_ones()))
+                .sum();
+            if row(a)[b / 64] >> (b % 64) & 1 == 1 {
+                triangles += common;
             } else if common >= 2 {
                 quads += 1;
             }
@@ -323,7 +346,7 @@ fn check_sf_girth(net: &Network, delta: i64, diags: &mut Vec<Diagnostic>) {
             "sf-girth",
             "MMS girth holds: no triangles, no quadrilaterals (girth ≥ 5)".into(),
         );
-    } else if delta == 1 {
+    } else if q == 5 {
         push(
             diags,
             Severity::Error,
@@ -339,7 +362,7 @@ fn check_sf_girth(net: &Network, delta: i64, diags: &mut Vec<Diagnostic>) {
             Severity::Info,
             "sf-girth",
             format!(
-                "girth census (δ = {delta} extension, girth 5 not promised): \
+                "girth census (q = {q}, δ = {delta}; girth 5 is promised only at q = 5): \
                  {triangles} adjacent pairs share a neighbor, {quads} pairs share ≥ 2 neighbors"
             ),
         );
@@ -427,101 +450,44 @@ pub(crate) fn check_tables(net: &Network, policy: &RoutePolicy, diags: &mut Vec<
     }
 }
 
-/// Check 2 continued (route well-formedness) and the VC-assignment laws:
-/// every enumerable route is a real walk of the promised length, indirect
-/// routes pivot on an eligible intermediate, and VC labels stay in budget
+/// Check 2 continued (the VC-assignment laws): VC labels stay in budget
 /// and never decrease along a path (monotonicity is what turns the VC
-/// layering into an acyclicity argument, §3.4).
-pub(crate) fn check_routes(
-    net: &Network,
-    policy: &RoutePolicy,
-    routes: &[LabeledRoute],
-    diags: &mut Vec<Diagnostic>,
-) {
-    let tables = policy.tables();
+/// layering into an acyclicity argument, §3.4). Labels depend only on a
+/// route's shape, so the check runs once per shape. That every route is a
+/// real minimal (or minimal ∘ minimal) walk follows from `check_tables`:
+/// routes are walks of first hops it has checked.
+pub(crate) fn check_routes(policy: &RoutePolicy, space: &RouteSpace, diags: &mut Vec<Diagnostic>) {
     let num_vcs = policy.num_vcs();
-    let mut minimal = 0u64;
-    let mut indirect = 0u64;
+    let (mut minimal, mut indirect) = (0u64, 0u64);
     let mut violations = 0u64;
     let mut shown = Vec::new();
-    let offend = |shown: &mut Vec<String>, violations: &mut u64, msg: String| {
-        *violations += 1;
-        if shown.len() < MAX_SHOWN {
-            shown.push(msg);
-        }
-    };
-    for r in routes {
-        let path = &r.choice.path;
-        let routers = path.routers();
-        let (s, d) = (path.src(), path.dst());
-        if r.choice.indirect {
-            indirect += 1;
+    for &(shape, n) in &space.shapes {
+        if shape.indirect {
+            indirect += n;
         } else {
-            minimal += 1;
+            minimal += n;
         }
-        for (a, b) in path.links() {
-            if !net.are_adjacent(a, b) {
-                offend(
-                    &mut shown,
-                    &mut violations,
-                    format!("route {routers:?} hops a non-existent link {a} -> {b}"),
-                );
-            }
-        }
-        if r.choice.indirect {
-            let ph = r.choice.phase_hops as usize;
-            if ph == 0 || ph >= path.num_hops() {
-                offend(
-                    &mut shown,
-                    &mut violations,
-                    format!("indirect route {routers:?} has degenerate phase split {ph}"),
-                );
-                continue;
-            }
-            let mid = routers[ph];
-            if mid == s || mid == d || !policy.intermediates().contains(&mid) {
-                offend(
-                    &mut shown,
-                    &mut violations,
-                    format!("indirect route {routers:?} pivots on ineligible intermediate {mid}"),
-                );
-            }
-            let expect = tables.dist(s, mid) as usize + tables.dist(mid, d) as usize;
-            if path.num_hops() != expect {
-                offend(
-                    &mut shown,
-                    &mut violations,
-                    format!("indirect route {routers:?} is not minimal∘minimal ({expect} hops expected)"),
-                );
-            }
-        } else if path.num_hops() != tables.dist(s, d) as usize {
-            offend(
-                &mut shown,
-                &mut violations,
-                format!(
-                    "minimal route {routers:?} has {} hops but dist({s}, {d}) = {}",
-                    path.num_hops(),
-                    tables.dist(s, d)
-                ),
-            );
-        }
-        // VC budget and monotonicity.
-        for (h, &vc) in r.vcs.iter().enumerate() {
+        let vcs = shape.vcs(policy.vc_scheme());
+        let kind = if shape.indirect {
+            "indirect"
+        } else {
+            "minimal"
+        };
+        let what = format!(
+            "{n} {kind} routes of {} hops (phase split {})",
+            shape.hops, shape.phase_hops
+        );
+        let mut offenses = Vec::new();
+        for (h, &vc) in vcs.iter().enumerate() {
             if vc >= num_vcs {
-                offend(
-                    &mut shown,
-                    &mut violations,
-                    format!("route {routers:?} hop {h} uses VC {vc} ≥ budget {num_vcs}"),
-                );
+                offenses.push(format!("{what}: hop {h} uses VC {vc} ≥ budget {num_vcs}"));
             }
         }
-        if r.vcs.windows(2).any(|w| w[1] < w[0]) {
-            offend(
-                &mut shown,
-                &mut violations,
-                format!("route {routers:?} has non-monotone VC labels {:?}", r.vcs),
-            );
+        if vcs.windows(2).any(|w| w[1] < w[0]) {
+            offenses.push(format!("{what}: non-monotone VC labels {vcs:?}"));
         }
+        violations += n * offenses.len() as u64;
+        shown.extend(offenses);
     }
     if violations == 0 {
         push(
@@ -535,6 +501,7 @@ pub(crate) fn check_routes(
             ),
         );
     } else {
+        shown.truncate(MAX_SHOWN);
         push(
             diags,
             Severity::Error,
@@ -545,7 +512,7 @@ pub(crate) fn check_routes(
 }
 
 /// Check 1 (CDG acyclicity with counterexample) and check 4's escape
-/// coverage: build the CDG over the full route space; if cyclic, extract
+/// coverage: over the CDG of the full route space; if cyclic, extract
 /// the shortest dependency cycle and render it with the offending routes,
 /// in the style of the telemetry deadlock forensics. For adaptive
 /// algorithms, additionally certify the minimal-route escape sub-CDG.
@@ -553,25 +520,25 @@ pub(crate) fn check_routes(
 pub(crate) fn check_cdg(
     net: &Network,
     policy: &RoutePolicy,
-    routes: &[LabeledRoute],
+    space: &RouteSpace,
     diags: &mut Vec<Diagnostic>,
 ) -> u32 {
-    let mut g = ChannelGraph::new(net, policy.num_vcs());
-    for r in routes {
-        if let Err(e) = g.add_route(&r.choice.path, &r.vcs) {
+    let g = match &space.cdg {
+        Ok(g) => g,
+        Err(e) => {
             push(
                 diags,
                 Severity::Error,
                 "cdg-build",
-                format!(
-                    "route {:?} does not fit the network: {e}",
-                    r.choice.path.routers()
-                ),
+                format!("the policy's routes do not fit the network: {e}"),
             );
             return 0;
         }
-    }
-    let num_deps: usize = (0..g.num_channels() as u32).map(|c| g.deps_of(c).len()).sum();
+    };
+    let num_deps: usize = (0..g.num_channels() as u32)
+        .map(|c| g.deps_of(c).len())
+        .sum();
+    let num_routes: u64 = space.shapes.iter().map(|&(_, n)| n).sum();
     let cycle_len = match g.find_cycle() {
         None => {
             push(
@@ -580,9 +547,8 @@ pub(crate) fn check_cdg(
                 "cdg-acyclic",
                 format!(
                     "CDG acyclic: {} channels, {num_deps} distinct dependencies, \
-                     {} routes enumerated (deadlock-free, §3.4)",
+                     {num_routes} routes enumerated (deadlock-free, §3.4)",
                     g.num_channels(),
-                    routes.len()
                 ),
             );
             0
@@ -592,7 +558,7 @@ pub(crate) fn check_cdg(
                 diags,
                 Severity::Error,
                 "cdg-cycle",
-                render_cycle(&g, &cycle, routes),
+                render_cycle(net, policy, g, &cycle),
             );
             cycle.len() as u32
         }
@@ -601,16 +567,7 @@ pub(crate) fn check_cdg(
     // Escape coverage: an adaptive policy may fall back to a minimal
     // route at any injection, so the minimal-only sub-CDG must itself be
     // deadlock-free for the fallback to be an escape.
-    if matches!(
-        policy.algorithm(),
-        Algorithm::Ugal { .. } | Algorithm::UgalG { .. }
-    ) {
-        let mut esc = ChannelGraph::new(net, policy.num_vcs());
-        for r in routes.iter().filter(|r| !r.choice.indirect) {
-            if esc.add_route(&r.choice.path, &r.vcs).is_err() {
-                return cycle_len; // already reported by the full build
-            }
-        }
+    if let Some(Ok(esc)) = &space.escape {
         match esc.find_cycle() {
             None => push(
                 diags,
@@ -624,7 +581,7 @@ pub(crate) fn check_cdg(
                 "escape-cycle",
                 format!(
                     "adaptive fallback is not an escape — minimal-route sub-CDG is cyclic:\n{}",
-                    render_cycle(&esc, &cycle, routes)
+                    render_cycle(net, policy, esc, &cycle)
                 ),
             ),
         }
@@ -632,47 +589,68 @@ pub(crate) fn check_cdg(
     cycle_len
 }
 
-/// Renders a CDG cycle the way PR 1's deadlock forensics renders a
-/// wait-for cycle: one line per channel, each showing the concrete
+/// Renders a CDG cycle the way the telemetry deadlock forensics renders
+/// a wait-for cycle: one line per channel, each showing the concrete
 /// `(link, vc)` and a route that induces the dependency on the next
 /// channel in the cycle.
-fn render_cycle(g: &ChannelGraph, cycle: &[u32], routes: &[LabeledRoute]) -> String {
+fn render_cycle(net: &Network, policy: &RoutePolicy, g: &ChannelGraph, cycle: &[u32]) -> String {
     use std::fmt::Write;
+    let witnesses = find_witnesses(net, policy, g, cycle);
     let mut out = String::new();
     let _ = write!(
         out,
         "CDG CYCLE: {} channels form a dependency cycle — deadlock reachable (§3.4):",
         cycle.len()
     );
-    for (i, &c) in cycle.iter().enumerate() {
-        let next = cycle[(i + 1) % cycle.len()];
+    for (i, (&c, witness)) in cycle.iter().zip(&witnesses).enumerate() {
         let (u, v, vc) = g.decode(c);
         let _ = write!(
             out,
             "\n  [{i}] link {u:>3} -> {v:>3} vc {vc}: waits on next",
         );
-        if let Some(r) = find_witness(g, c, next, routes) {
-            let routers = r.choice.path.routers();
-            let _ = write!(out, " via route {routers:?} vcs {:?}", r.vcs);
+        if let Some((path, vcs)) = witness {
+            let _ = write!(out, " via route {:?} vcs {vcs:?}", path.routers());
         }
     }
     out
 }
 
-/// First enumerated route that induces the dependency `c1 → c2`.
-fn find_witness<'a>(
+/// For each cycle edge `cycle[i] → cycle[i + 1]`, the first route in
+/// [`for_each_policy_route`] order that induces it. One pass over the
+/// route space, stopping once every edge has its witness; only rejected
+/// configs pay for it.
+fn find_witnesses(
+    net: &Network,
+    policy: &RoutePolicy,
     g: &ChannelGraph,
-    c1: u32,
-    c2: u32,
-    routes: &'a [LabeledRoute],
-) -> Option<&'a LabeledRoute> {
-    routes.iter().find(|r| {
-        let routers = r.choice.path.routers();
-        (0..r.choice.path.num_hops().saturating_sub(1)).any(|i| {
-            g.channel(routers[i], routers[i + 1], r.vcs[i]) == Ok(c1)
-                && g.channel(routers[i + 1], routers[i + 2], r.vcs[i + 1]) == Ok(c2)
-        })
-    })
+    cycle: &[u32],
+) -> Vec<Option<(RoutePath, Vec<u8>)>> {
+    let edges: Vec<(u32, u32)> = (0..cycle.len())
+        .map(|i| (cycle[i], cycle[(i + 1) % cycle.len()]))
+        .collect();
+    let mut found: Vec<Option<(RoutePath, Vec<u8>)>> = vec![None; edges.len()];
+    let mut missing = edges.len();
+    for_each_policy_route(net, policy, |choice, vcs| {
+        let routers = choice.path.routers();
+        for i in 0..choice.path.num_hops().saturating_sub(1) {
+            let dep = (
+                g.channel(routers[i], routers[i + 1], vcs[i]),
+                g.channel(routers[i + 1], routers[i + 2], vcs[i + 1]),
+            );
+            for (e, &(c1, c2)) in edges.iter().enumerate() {
+                if found[e].is_none() && dep == (Ok(c1), Ok(c2)) {
+                    found[e] = Some((choice.path, vcs.to_vec()));
+                    missing -= 1;
+                }
+            }
+        }
+        if missing == 0 {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    });
+    found
 }
 
 /// Check 4 (config consistency): credit/buffer sufficiency and the

@@ -59,7 +59,7 @@ impl fmt::Display for Verdict {
 
 /// The full result of statically verifying one (topology, policy,
 /// parameters) triple.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Report {
     /// What was verified, e.g. `SF(q=5,p=3) under MIN [HopIndex, 2 VCs]`.
     pub subject: String,

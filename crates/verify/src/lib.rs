@@ -16,7 +16,7 @@
 //!    minimal paths within the class's diameter promise, indirect routes
 //!    well-formed and VC-monotone;
 //! 3. **topology structural lints** — connectivity, class invariants,
-//!    diameter promises, SSPT layering/stacking, Slim Fly MMS girth,
+//!    diameter promises, SSPT layering/stacking, Slim Fly girth census,
 //!    radix census;
 //! 4. **escape coverage and buffer sufficiency** — adaptive policies keep
 //!    an acyclic minimal-route escape, and every VC's buffer share holds
@@ -87,11 +87,28 @@ fn algo_name(a: Algorithm) -> &'static str {
 }
 
 /// Runs every static check on `(net, policy, params)` and returns the
-/// structured report. Never panics on unsafe or malformed inputs; the
-/// route-space enumeration is exhaustive, so expect this to be feasible
-/// on small/reduced instances (the properties checked are
-/// scale-independent).
+/// structured report. Never panics on unsafe or malformed inputs. The
+/// channel dependency graph is streamed from the minimal tables and the
+/// route checks run per route shape, so no route is materialised: cost
+/// grows with the number of distinct dependencies, not routes, and
+/// adaptive policies verify at paper (CORAL) scale.
 pub fn verify(net: &Network, policy: &RoutePolicy, params: &VerifyParams) -> Report {
+    verify_with(net, policy, params, checks::RouteSpace::streamed)
+}
+
+/// [`verify`] with the route space enumerated route by route instead of
+/// streamed: the reference that differential tests hold [`verify`] to.
+/// Memory grows with the number of routes, so keep it to small networks.
+pub fn verify_enumerated(net: &Network, policy: &RoutePolicy, params: &VerifyParams) -> Report {
+    verify_with(net, policy, params, checks::RouteSpace::enumerated)
+}
+
+fn verify_with(
+    net: &Network,
+    policy: &RoutePolicy,
+    params: &VerifyParams,
+    route_space: fn(&Network, &RoutePolicy) -> checks::RouteSpace,
+) -> Report {
     let subject = format!(
         "{} under {} [{:?}, {} VCs]",
         net.name(),
@@ -110,9 +127,9 @@ pub fn verify(net: &Network, policy: &RoutePolicy, params: &VerifyParams) -> Rep
         .all(|d| d.code != "topology-disconnected")
     {
         checks::check_tables(net, policy, &mut diags);
-        let routes = checks::enumerate_labeled_routes(net, policy);
-        checks::check_routes(net, policy, &routes, &mut diags);
-        cdg_cycle_len = checks::check_cdg(net, policy, &routes, &mut diags);
+        let space = route_space(net, policy);
+        checks::check_routes(policy, &space, &mut diags);
+        cdg_cycle_len = checks::check_cdg(net, policy, &space, &mut diags);
         checks::check_analysis(net, policy, params, &mut diags);
     }
     Report {
@@ -408,6 +425,41 @@ mod tests {
         let report = verify(&net, &policy, &VerifyParams::default());
         assert_eq!(report.verdict(), Verdict::Rejected);
         assert!(report.find("topology-invariant").is_some());
-        assert!(report.find("sf-girth").is_some());
+        let girth = report.find("sf-girth").expect("girth census");
+        assert_eq!(girth.severity, Severity::Error, "q = 5 promises girth 5");
+    }
+
+    #[test]
+    fn hoffman_singleton_slim_fly_has_girth_five() {
+        let net = slim_fly(5, SlimFlyP::Floor);
+        let mut diags = Vec::new();
+        checks::check_topology(&net, &mut diags);
+        let girth = diags
+            .iter()
+            .find(|d| d.code == "sf-girth")
+            .expect("girth census");
+        assert_eq!(girth.severity, Severity::Info);
+        assert!(girth.message.contains("girth holds"), "{}", girth.message);
+    }
+
+    #[test]
+    fn larger_slim_flies_certify_under_min() {
+        // Beyond q = 5 no MMS graph has girth 5 (Hoffman–Singleton), so
+        // the census is informational, and the paper's own SF(q=13)
+        // configs certify.
+        for net in [
+            slim_fly(9, SlimFlyP::Floor),
+            slim_fly(13, SlimFlyP::Floor),
+            slim_fly(13, SlimFlyP::Ceil),
+        ] {
+            let policy = RoutePolicy::new(&net, Algorithm::Minimal);
+            let report = verify(&net, &policy, &VerifyParams::default());
+            assert_eq!(report.verdict(), Verdict::Certified, "{}", report.render());
+            let girth = report.find("sf-girth").expect("girth census");
+            assert_eq!(girth.severity, Severity::Info);
+            assert!(girth.message.contains("q = "), "{}", girth.message);
+            let dia = report.find("diameter").expect("diameter lint");
+            assert_eq!(dia.message, "router diameter 2");
+        }
     }
 }

@@ -9,11 +9,19 @@
 //!   cargo run --release --example d2net-verify              # full demo
 //!   cargo run --release --example d2net-verify -- --paper-gate
 //!
-//! `--paper-gate` verifies only the paper-figure configs and exits
-//! non-zero if any ERROR diagnostic appears — the CI gate.
+//! `--paper-gate` verifies only the paper-figure configs — the reduced
+//! ones under MIN, INR and UGAL-L, then the four §4.1 CORAL configs under
+//! MIN and each family's best adaptive (UGAL-L) variant, timing each —
+//! and exits non-zero if any ERROR diagnostic appears or the process's
+//! peak resident set exceeds 1 GB: the CI gate.
+
+use std::time::Instant;
 
 use d2net::prelude::*;
 use d2net::routing::cdg;
+
+/// Peak resident set the paper-scale gate allows, in MB.
+const PEAK_RSS_LIMIT_MB: f64 = 1024.0;
 
 fn paper_configs() -> Vec<(Network, Algorithm)> {
     let algos = [
@@ -32,6 +40,27 @@ fn paper_configs() -> Vec<(Network, Algorithm)> {
         }
     }
     out
+}
+
+/// The §4.1 CORAL configs, each under MIN and its family's best adaptive
+/// (UGAL-L) variant.
+fn coral_configs() -> Vec<(Network, Algorithm)> {
+    let mut out = Vec::new();
+    for net in eval_topologies(Scale::Full) {
+        let (_, adaptive) = best_adaptive(&net);
+        out.push((net.clone(), Algorithm::Minimal));
+        out.push((net, adaptive));
+    }
+    out
+}
+
+/// Peak resident set of this process in MB (`VmHWM` in Linux's
+/// `/proc/self/status`), if the platform reports it.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb / 1024.0)
 }
 
 /// The canonical unsafe configuration: a 5-router ring with minimal
@@ -71,6 +100,29 @@ fn main() {
     }
 
     if gate {
+        println!("--- CORAL scale ---");
+        for (net, algo) in coral_configs() {
+            let policy = RoutePolicy::new(&net, algo);
+            let start = Instant::now();
+            let report = verify(&net, &policy, &VerifyParams::default());
+            let secs = start.elapsed().as_secs_f64();
+            if report.verdict() == Verdict::Certified {
+                println!("{} in {secs:.3} s", report.summary());
+            } else {
+                println!("{}in {secs:.3} s", report.render());
+            }
+            errors += report.count(Severity::Error);
+        }
+        match peak_rss_mb() {
+            Some(mb) => {
+                println!("peak resident set {mb:.0} MB (limit {PEAK_RSS_LIMIT_MB:.0} MB)");
+                if mb > PEAK_RSS_LIMIT_MB {
+                    eprintln!("paper gate FAILED: peak resident set {mb:.0} MB");
+                    std::process::exit(1);
+                }
+            }
+            None => println!("peak resident set not reported on this platform"),
+        }
         if errors > 0 {
             eprintln!("paper gate FAILED: {errors} error diagnostics across paper configs");
             std::process::exit(1);
