@@ -26,11 +26,13 @@
 #                     verdicts, and runs a smoke-sized bench_analysis
 #                     writing BENCH_analysis.json.
 #   --shard-smoke     additionally runs the intra-run sharding gate
-#                     (d2net-shard: sharded sweep manifests byte-equal
-#                     the serial engine's, through the serial harness at
-#                     two shard counts and the parallel harness at two
-#                     thread budgets) and checks the written manifest
-#                     carries a "sharding" section.
+#                     (d2net-shard: the Fig. 13 all-to-all on SF(5)
+#                     under MIN, INR and UGAL-L reports the same
+#                     ExchangeStats at 1, 2 and 3 shards; sharded sweep
+#                     manifests byte-equal the serial engine's, through
+#                     the serial harness at two shard counts and the
+#                     parallel harness at two thread budgets) and checks
+#                     the written manifest carries a "sharding" section.
 #   --serve-smoke     additionally runs the batch sweep service gate
 #                     (d2net-serve): spools two requests, SIGTERMs the
 #                     server mid-sweep, restarts it with --once, and
@@ -152,7 +154,7 @@ if [[ "$ANALYSIS_SMOKE" == "1" ]]; then
 fi
 
 if [[ "$SHARD_SMOKE" == "1" ]]; then
-  echo "== shard smoke: sharded sweeps byte-equal serial, manifest gate =="
+  echo "== shard smoke: sharded exchanges and sweeps byte-equal serial, manifest gate =="
   cargo run --release --example d2net-shard -- --out SHARD_smoke.json
   grep -q '"sharding"' SHARD_smoke.json
   grep -q '"shards":2' SHARD_smoke.json

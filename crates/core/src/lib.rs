@@ -104,7 +104,8 @@ pub mod prelude {
         load_sweep_traced_collect, par_curves, par_load_sweep, par_load_sweep_collect,
         par_load_sweep_ledgered_collect, par_load_sweep_probed, par_load_sweep_probed_collect,
         par_load_sweep_traced_collect, par_load_sweep_with_order, plan_shards, point_seed,
-        preflight, resolve_threads, run_exchange, run_exchange_probed, run_exchange_traced,
+        preflight, resolve_threads, run_exchange, run_exchange_ledgered, run_exchange_probed,
+        run_exchange_traced,
         run_synthetic, run_synthetic_faulted, run_synthetic_faulted_probed,
         run_synthetic_ledgered, run_synthetic_probed, run_synthetic_sharded,
         run_synthetic_sharded_faulted, run_synthetic_sharded_faulted_probed,

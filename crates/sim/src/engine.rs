@@ -1598,6 +1598,11 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// This shard's clock: the time of the last event it handled.
+    pub(crate) fn now(&self) -> u64 {
+        self.now
+    }
+
     /// Timestamp of this shard's next queued event.
     pub(crate) fn min_peek(&mut self) -> Option<u64> {
         self.queue.peek_time()
@@ -2012,35 +2017,29 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Consumes the engine after an exchange run.
-    pub fn finish_exchange(self, total_bytes: u64) -> ExchangeStats {
-        self.finish_exchange_probed(total_bytes).0
-    }
-
-    /// Like [`Engine::finish_exchange`], also returning the telemetry
-    /// report when a probe was attached.
-    pub fn finish_exchange_probed(
-        self,
+    /// Runs an exchange until the queue drains, returning the telemetry
+    /// report when a probe was attached; an attached trace or ledger is
+    /// left for [`Engine::take_trace`] / [`Engine::take_ledger`].
+    pub fn run_exchange_to(
+        &mut self,
         total_bytes: u64,
     ) -> (ExchangeStats, Option<TelemetryReport>) {
-        let (stats, telemetry, _) = self.finish_exchange_traced(total_bytes);
-        (stats, telemetry)
-    }
-
-    /// Like [`Engine::finish_exchange_probed`], also returning the
-    /// structured trace when a recorder was attached. The measure phase
-    /// spans the injection period (up to the last packet committed into
-    /// the network); the drain phase covers the deliveries, credits and
-    /// wake events that settle afterwards.
-    pub fn finish_exchange_traced(
-        mut self,
-        total_bytes: u64,
-    ) -> (ExchangeStats, Option<TelemetryReport>, Option<EngineTrace>) {
         let deadlocked = self.run(None);
         if self.telemetry.is_some() {
             self.flush_probe(self.now);
         }
         let telemetry = self.take_probe_report(deadlocked);
+        let stats = self.exchange_stats(total_bytes, deadlocked);
+        (stats, telemetry)
+    }
+
+    /// Builds the run's [`ExchangeStats`] from the accumulated state and
+    /// finalizes the attached trace/ledger — the tail shared by the
+    /// serial and sharded runners. The trace's measure phase spans the
+    /// injection period (up to the last packet committed into the
+    /// network); the drain phase covers the deliveries, credits and
+    /// wake events that settle afterwards.
+    pub(crate) fn exchange_stats(&mut self, total_bytes: u64, deadlocked: bool) -> ExchangeStats {
         let measure_end = self
             .trace
             .as_ref()
@@ -2049,7 +2048,6 @@ impl<'a> Engine<'a> {
             });
         self.finalize_trace(measure_end);
         self.finalize_ledger();
-        let trace = self.take_trace();
         let completion_ps = self.acc.last_delivery_ps;
         let n = self.net.num_nodes() as f64;
         let effective = if completion_ps > 0 {
@@ -2062,7 +2060,7 @@ impl<'a> Engine<'a> {
             deadlocked || self.acc.delivered_bytes == total_bytes,
             "exchange completed without delivering every byte"
         );
-        let stats = ExchangeStats {
+        ExchangeStats {
             delivered_bytes: self.acc.delivered_bytes,
             completion_ns: completion_ps / 1_000,
             effective_throughput: effective,
@@ -2071,8 +2069,7 @@ impl<'a> Engine<'a> {
             delivered_packets: self.acc.delivered_packets,
             indirect_packets: self.acc.indirect_packets,
             deadlocked: deadlocked || self.acc.delivered_bytes < total_bytes,
-        };
-        (stats, telemetry, trace)
+        }
     }
 }
 
@@ -2492,6 +2489,11 @@ pub(crate) fn engine_faults<'a>(
 
 /// Runs a fixed-size exchange to completion. `window` is the number of
 /// messages each node keeps in flight simultaneously (1 = fully staged).
+///
+/// The run shards like [`crate::run_synthetic_sharded`]: the shard
+/// count comes from [`SimConfig::shards`] / `D2NET_SHARDS` / the auto
+/// heuristic (see [`crate::plan_shards`]), and the output is identical
+/// at every count.
 pub fn run_exchange(
     net: &Network,
     policy: &RoutePolicy,
@@ -2499,18 +2501,7 @@ pub fn run_exchange(
     window: usize,
     cfg: SimConfig,
 ) -> ExchangeStats {
-    invariant!(
-        exchange.sends.len() == net.num_nodes() as usize,
-        "exchange pattern must cover every node ({} send lists, {} nodes)",
-        exchange.sends.len(),
-        net.num_nodes()
-    );
-    let rng = SmallRng::seed_from_u64(cfg.seed);
-    let sources = (0..net.num_nodes())
-        .map(|n| NodeSource::exchange(exchange, n, window, cfg.packet_bytes))
-        .collect();
-    let engine = Engine::new(net, policy, cfg, sources, 0, rng);
-    engine.finish_exchange(exchange.total_bytes())
+    run_exchange_inner(net, policy, exchange, window, cfg, None, None, None).0
 }
 
 /// [`run_exchange`] with an observability probe attached.
@@ -2522,20 +2513,9 @@ pub fn run_exchange_probed(
     cfg: SimConfig,
     probe: ProbeConfig,
 ) -> (ExchangeStats, TelemetryReport) {
-    invariant!(
-        exchange.sends.len() == net.num_nodes() as usize,
-        "exchange pattern must cover every node ({} send lists, {} nodes)",
-        exchange.sends.len(),
-        net.num_nodes()
-    );
-    let rng = SmallRng::seed_from_u64(cfg.seed);
-    let sources = (0..net.num_nodes())
-        .map(|n| NodeSource::exchange(exchange, n, window, cfg.packet_bytes))
-        .collect();
-    let mut engine = Engine::new(net, policy, cfg, sources, 0, rng);
-    engine.attach_probe(probe);
-    let (stats, telemetry) = engine.finish_exchange_probed(exchange.total_bytes());
-    (stats, telemetry.expect("probe was attached"))
+    let (stats, tel, _, _) =
+        run_exchange_inner(net, policy, exchange, window, cfg, Some(probe), None, None);
+    (stats, tel.expect("probe was attached"))
 }
 
 /// [`run_exchange`] with a structured trace recorder attached. Exchanges
@@ -2549,18 +2529,55 @@ pub fn run_exchange_traced(
     cfg: SimConfig,
     trace: TraceConfig,
 ) -> (ExchangeStats, EngineTrace) {
+    let (stats, _, tr, _) =
+        run_exchange_inner(net, policy, exchange, window, cfg, None, Some(trace), None);
+    (stats, tr.expect("trace was attached"))
+}
+
+/// [`run_exchange`] with a routing-decision ledger attached: identical
+/// simulated schedule and byte-identical stats, plus the deterministic
+/// [`EngineLedger`] of the exchange (see [`crate::ledger`]).
+pub fn run_exchange_ledgered(
+    net: &Network,
+    policy: &RoutePolicy,
+    exchange: &d2net_traffic::Exchange,
+    window: usize,
+    cfg: SimConfig,
+    ledger: LedgerConfig,
+) -> (ExchangeStats, EngineLedger) {
+    let (stats, _, _, led) =
+        run_exchange_inner(net, policy, exchange, window, cfg, None, None, Some(ledger));
+    (stats, led.expect("ledger was attached"))
+}
+
+/// The one exchange core behind the `run_exchange*` entry points.
+#[allow(clippy::too_many_arguments, clippy::type_complexity)]
+fn run_exchange_inner(
+    net: &Network,
+    policy: &RoutePolicy,
+    exchange: &d2net_traffic::Exchange,
+    window: usize,
+    cfg: SimConfig,
+    probe: Option<ProbeConfig>,
+    trace: Option<TraceConfig>,
+    ledger: Option<LedgerConfig>,
+) -> (
+    ExchangeStats,
+    Option<TelemetryReport>,
+    Option<EngineTrace>,
+    Option<EngineLedger>,
+) {
     invariant!(
         exchange.sends.len() == net.num_nodes() as usize,
         "exchange pattern must cover every node ({} send lists, {} nodes)",
         exchange.sends.len(),
         net.num_nodes()
     );
-    let rng = SmallRng::seed_from_u64(cfg.seed);
-    let sources = (0..net.num_nodes())
-        .map(|n| NodeSource::exchange(exchange, n, window, cfg.packet_bytes))
-        .collect();
-    let mut engine = Engine::new(net, policy, cfg, sources, 0, rng);
-    engine.attach_trace(trace);
-    let (stats, _, tr) = engine.finish_exchange_traced(exchange.total_bytes());
-    (stats, tr.expect("trace was attached"))
+    let work = crate::shard::ExchangeRun {
+        exchange,
+        window,
+        total_bytes: exchange.total_bytes(),
+    };
+    crate::shard::run_sharded_inner(net, policy, &work, cfg, probe, trace, ledger)
+        .unwrap_or_else(|e| panic!("{e}"))
 }

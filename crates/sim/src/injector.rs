@@ -130,6 +130,18 @@ impl NodeSource {
         src
     }
 
+    /// An exchange source with nothing to send: what a shard holds for
+    /// the nodes it does not own.
+    pub(crate) fn idle(packet_bytes: u32) -> Self {
+        NodeSource::Exchange {
+            pending: Vec::new(),
+            active: Vec::new(),
+            window: 1,
+            rr: 0,
+            packet_bytes,
+        }
+    }
+
     fn refill(&mut self) {
         if let NodeSource::Exchange {
             pending,

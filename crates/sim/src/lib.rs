@@ -10,19 +10,24 @@
 //! - [`run_synthetic`] — steady-state uniform / permutation traffic with
 //!   warm-up, reporting accepted throughput and mean packet delay;
 //! - [`run_exchange`] — fixed-size collective exchanges (A2A / NN) run to
-//!   completion, reporting effective throughput;
+//!   completion, reporting effective throughput; sharded like
+//!   [`run_synthetic_sharded`] when a shard count is requested (or auto
+//!   picks one), byte-identical at every count;
 //! - [`sweep::load_sweep`] — the offered-load axes of Figs. 6–12;
 //! - [`run_synthetic_probed`] / [`run_exchange_probed`] /
 //!   [`sweep::load_sweep_probed`] — the same runs with an observability
 //!   probe attached (see [`telemetry`]): utilization/occupancy series,
-//!   per-router event rings and deadlock forensics;
+//!   per-router event rings and deadlock forensics; `*_traced` and
+//!   `*_ledgered` variants return the flight trace ([`trace`]) and the
+//!   routing-decision ledger ([`ledger`]) the same way;
 //! - [`par::par_load_sweep`] / [`par::par_curves`] — the same sweeps fanned
 //!   out across a scoped worker pool, byte-identical to the serial runs
 //!   (per-point seeds are index-derived; see [`par`]);
 //! - [`run_synthetic_sharded`] and friends — single runs partitioned
 //!   across router shards in conservative time windows, byte-identical
 //!   to serial at any shard count (see [`shard`]); the sweeps compose
-//!   shard- with point-level parallelism under one thread budget.
+//!   shard- with point-level parallelism under one thread budget. The
+//!   exchanges above run on the same coordinator.
 
 pub mod config;
 pub mod engine;
@@ -42,7 +47,8 @@ pub mod trace;
 
 pub use config::{ChaosKind, EngineChaos, EventQueueKind, Preflight, RunBudget, SimConfig};
 pub use engine::{
-    preflight, run_exchange, run_exchange_probed, run_exchange_traced, run_synthetic,
+    preflight, run_exchange, run_exchange_ledgered, run_exchange_probed, run_exchange_traced,
+    run_synthetic,
     run_synthetic_faulted, run_synthetic_faulted_probed, run_synthetic_ledgered,
     run_synthetic_probed, run_synthetic_traced, Engine, EngineFault,
 };

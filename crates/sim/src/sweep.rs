@@ -320,14 +320,17 @@ impl<'a> PointRunner<'a> {
             if self.chaos.is_some() {
                 pcfg.chaos = self.chaos;
             }
+            let work = crate::shard::Synthetic {
+                pattern: self.pattern,
+                schedule: None,
+                load,
+                end_ps: self.end_ps,
+                warmup_ps: self.warmup_ps,
+            };
             return crate::shard::run_sharded_inner(
                 self.net,
                 self.policy,
-                self.pattern,
-                None,
-                load,
-                self.end_ps,
-                self.warmup_ps,
+                &work,
                 pcfg,
                 probe,
                 trace,

@@ -1,11 +1,16 @@
-//! Shard-smoke gate: intra-run sharded sweeps must be byte-identical
-//! to the serial engine, manifests and all.
+//! Shard-smoke gate: intra-run sharded sweeps and exchanges must be
+//! byte-identical to the serial engine, manifests and all.
 //!
 //! ```text
 //! cargo run --release --example d2net-shard [-- --out FILE]
 //! ```
 //!
-//! Runs one load sweep on a Slim Fly under Valiant routing four ways —
+//! First runs the Fig. 13 shuffled all-to-all (7.5 KB per pair) on the
+//! same Slim Fly under MIN, INR and UGAL-L at 1, 2 and 3 shards: the
+//! exchanges drain on the window-barrier coordinator, and any
+//! [`ExchangeStats`] that differs from the 1-shard run fails the gate.
+//! Then it
+//! runs one load sweep under Valiant routing four ways —
 //! the serial engine, the 2-shard and 3-shard engines through the
 //! serial sweep harness, and the 2-shard engine fanned across the
 //! worker pool at two different thread budgets (which `par_load_sweep*`
@@ -31,6 +36,8 @@ fn main() {
         sim: SimConfig::default(),
     };
     let label = format!("{} INR uniform", net.name());
+
+    check_exchanges(&net, params.sim);
 
     let manifest_of = |sweep: &SweepOutcome| -> RunManifest {
         let mut m = RunManifest::new(
@@ -123,6 +130,34 @@ fn main() {
     let json = manifest.to_json();
     write_atomic(&out, &json).unwrap_or_else(|e| panic!("writing {out}: {e}"));
     println!("wrote {out} ({} bytes)", json.len());
+}
+
+/// The Fig. 13 exchange at 1, 2 and 3 shards under each routing the
+/// figure compares; panics (non-zero exit) on the first divergence.
+fn check_exchanges(net: &Network, sim: SimConfig) {
+    let ex = d2net::traffic::all_to_all_shuffled(net.num_nodes(), 7_500, sim.seed);
+    let (adaptive, ugal) = best_adaptive(net);
+    for (name, algo) in [
+        ("MIN".to_string(), Algorithm::Minimal),
+        ("INR".to_string(), Algorithm::Valiant),
+        (adaptive, ugal),
+    ] {
+        let policy = RoutePolicy::new(net, algo);
+        let run = |shards: u32| run_exchange(net, &policy, &ex, 1, SimConfig { shards, ..sim });
+        let serial = run(1);
+        assert!(!serial.deadlocked, "{name}: the exchange must complete");
+        for shards in [2u32, 3] {
+            assert_eq!(
+                run(shards),
+                serial,
+                "{name}: {shards}-shard exchange stats diverged from serial"
+            );
+        }
+        println!(
+            "{name} all-to-all: 2- and 3-shard stats == serial (throughput {:.4}, {} ns)",
+            serial.effective_throughput, serial.completion_ns
+        );
+    }
 }
 
 fn parse_out() -> String {

@@ -562,6 +562,168 @@ fn sharded_wedge_detection_matches_serial() {
     }
 }
 
+// ---------------------------------------------------------------------
+// Sharded exchanges: the Fig. 13/14 exchanges run on the same
+// window-barrier coordinator in drain mode (no horizon) and must match
+// the serial engine byte for byte — stats, telemetry, trace and ledger.
+// ---------------------------------------------------------------------
+
+/// The shuffled all-to-all (window 1, Fig. 13) and a nearest-neighbour
+/// exchange on the network's torus (window 6, Fig. 14), both sized for
+/// a debug-build test.
+fn exchanges(net: &Network) -> Vec<(d2net::traffic::Exchange, usize, &'static str)> {
+    let a2a = d2net::traffic::all_to_all_shuffled(net.num_nodes(), 256, 11);
+    let mut nn = d2net::traffic::nearest_neighbor(torus_dims_for(net), 2_048);
+    nn.sends.resize(net.num_nodes() as usize, Vec::new());
+    vec![(a2a, 1, "A2A"), (nn, 6, "NN")]
+}
+
+/// Trace equality modulo the calendar's ring/drain/overflow split,
+/// which depends on each queue's local contents (see
+/// `sharded_traced_run_matches_serial_modulo_calendar_internals`).
+fn without_calendar(mut trace: EngineTrace) -> EngineTrace {
+    assert!(trace.counters.calendar.take().is_some(), "calendar stats missing");
+    trace
+}
+
+#[test]
+fn sharded_exchange_matches_serial_stats_telemetry_trace_and_ledger() {
+    let probe = ProbeConfig::default();
+    let ledger = LedgerConfig::default();
+    for net in [slim_fly(5, SlimFlyP::Floor), mlfm(3), oft(3)] {
+        for alg in [Algorithm::Minimal, Algorithm::Valiant, best_adaptive(&net).1] {
+            let policy = RoutePolicy::new(&net, alg);
+            for (ex, window, tag) in exchanges(&net) {
+                let label = format!("{} {alg:?} {tag}", net.name());
+                let run = |k: u32| {
+                    let cfg = sharded_cfg(k);
+                    let (stats, tel) = run_exchange_probed(&net, &policy, &ex, window, cfg, probe);
+                    let (t_stats, trace) = run_exchange_traced(
+                        &net, &policy, &ex, window, cfg, TraceConfig::default(),
+                    );
+                    let (l_stats, led) =
+                        run_exchange_ledgered(&net, &policy, &ex, window, cfg, ledger);
+                    assert_eq!(t_stats, stats, "{label}: traced stats at {k} shards");
+                    assert_eq!(l_stats, stats, "{label}: ledgered stats at {k} shards");
+                    (stats, tel, without_calendar(trace), led)
+                };
+                let serial = run(1);
+                assert!(!serial.0.deadlocked, "{label}: exchange must complete");
+                assert_eq!(serial.0.delivered_bytes, ex.total_bytes(), "{label}");
+                for k in [2u32, 3, 5] {
+                    let sharded = run(k);
+                    assert_eq!(sharded.0, serial.0, "{label}: {k}-shard stats");
+                    assert_eq!(sharded.1, serial.1, "{label}: {k}-shard telemetry");
+                    assert_eq!(sharded.2, serial.2, "{label}: {k}-shard trace");
+                    assert_eq!(sharded.3, serial.3, "{label}: {k}-shard ledger");
+                }
+            }
+        }
+    }
+}
+
+/// A wedging exchange (the single-VC 5-ring with tiny buffers) must
+/// report `deadlocked` identically at every shard count, forensics
+/// included.
+#[test]
+fn sharded_exchange_wedge_matches_serial() {
+    use d2net::traffic::{Exchange, Message};
+    let (net, policy, pattern, cfg) = wedging_ring();
+    let SyntheticPattern::Permutation(perm) = pattern else {
+        unreachable!("the wedging ring runs a permutation")
+    };
+    // Every node streams to the node two hops clockwise: the same
+    // single-VC cycle the synthetic wedge test closes.
+    let ex = Exchange {
+        sends: perm
+            .iter()
+            .map(|&dst| vec![Message { dst, bytes: 65_536 }])
+            .collect(),
+        label: "ring5 shift-2".into(),
+    };
+    let probe = ProbeConfig::default();
+    let run = |k: u32| {
+        run_exchange_probed(&net, &policy, &ex, 1, SimConfig { shards: k, ..cfg }, probe)
+    };
+    let (serial_stats, serial_tel) = run(1);
+    assert!(serial_stats.deadlocked, "the ring exchange must wedge");
+    assert!(serial_tel.deadlock.is_some(), "serial forensics missing");
+    for k in [2u32, 3, 5] {
+        let (stats, tel) = run(k);
+        assert_eq!(stats, serial_stats, "{k}-shard wedged exchange stats");
+        assert_eq!(tel, serial_tel, "{k}-shard wedged exchange forensics");
+    }
+}
+
+/// The exchange ledger is the engine's own account of the run: one
+/// UGAL-L decision per packet whose endpoints sit on different routers,
+/// one misroute per packet the engine sent indirectly, and the same
+/// ledger at one and two shards.
+#[test]
+fn exchange_ledger_counts_every_decision_and_misroute() {
+    for net in [mlfm(3), oft(3)] {
+        let (_, alg) = best_adaptive(&net);
+        assert!(matches!(alg, Algorithm::Ugal { .. }), "{}: UGAL-L expected", net.name());
+        let policy = RoutePolicy::new(&net, alg);
+        let ex = d2net::traffic::all_to_all_shuffled(net.num_nodes(), 7_500, 3);
+        let cfg = sharded_cfg(1);
+        let (stats, led) =
+            run_exchange_ledgered(&net, &policy, &ex, 1, cfg, LedgerConfig::default());
+        let packets = cfg.packet_bytes as u64;
+        let remote: u64 = ex
+            .sends
+            .iter()
+            .enumerate()
+            .flat_map(|(src, list)| list.iter().map(move |m| (src as u32, m)))
+            .filter(|(src, m)| net.node_router(*src) != net.node_router(m.dst))
+            .map(|(_, m)| m.bytes.div_ceil(packets))
+            .sum();
+        assert!(remote > 0);
+        assert_eq!(led.decisions, remote, "{}: ledger decisions", net.name());
+        assert_eq!(led.indirect, stats.indirect_packets, "{}: ledger misroutes", net.name());
+        assert!(led.indirect > 0, "{}: UGAL-L must misroute some packets", net.name());
+        let (stats2, led2) =
+            run_exchange_ledgered(&net, &policy, &ex, 1, sharded_cfg(2), LedgerConfig::default());
+        assert_eq!(stats2, stats, "{}: 2-shard stats", net.name());
+        assert_eq!(led2, led, "{}: 2-shard ledger", net.name());
+    }
+}
+
+/// Exchanges plan their shard count exactly as synthetic runs do: the
+/// heap queue (the unsharded reference) and global UGAL (which reads
+/// remote occupancies) stay serial even under an explicit request. For
+/// UGAL-G the calendar counters in the trace show it: a sharded run
+/// merges one calendar per shard, a serial run reports its one queue.
+#[test]
+fn heap_queue_and_global_ugal_keep_exchanges_serial() {
+    let net = slim_fly(5, SlimFlyP::Floor);
+    let ex = d2net::traffic::all_to_all_shuffled(net.num_nodes(), 256, 5);
+    let min = RoutePolicy::new(&net, Algorithm::Minimal);
+    let ugal_g = RoutePolicy::new(&net, Algorithm::UgalG { n_i: 4, c: 2.0 });
+    let heap = SimConfig {
+        event_queue: EventQueueKind::Heap,
+        ..sharded_cfg(4)
+    };
+    assert_eq!(plan_shards(&net, &min, &sharded_cfg(4)), 4);
+    assert_eq!(plan_shards(&net, &ugal_g, &sharded_cfg(4)), 1);
+    assert_eq!(plan_shards(&net, &min, &heap), 1);
+
+    let traced = |policy: &RoutePolicy, cfg: SimConfig| {
+        run_exchange_traced(&net, policy, &ex, 1, cfg, TraceConfig::default())
+    };
+    // Sharded: same stats, different calendar internals.
+    let (serial_stats, serial_trace) = traced(&min, sharded_cfg(1));
+    let (stats, trace) = traced(&min, sharded_cfg(4));
+    assert_eq!(stats, serial_stats);
+    assert_ne!(trace.counters.calendar, serial_trace.counters.calendar);
+    // Clamped to serial: the whole trace, calendar included, is the
+    // serial one.
+    let (serial_stats, serial_trace) = traced(&ugal_g, sharded_cfg(1));
+    let (stats, trace) = traced(&ugal_g, sharded_cfg(4));
+    assert_eq!(stats, serial_stats);
+    assert_eq!(trace, serial_trace, "UGAL-G exchange must stay serial");
+}
+
 /// Satellite regression: `Engine::reset` must rewind the calendar
 /// queue's diagnostic counters along with its contents — a traced sweep
 /// point's calendar stats must equal a standalone traced run's.
