@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 gate: build, test, lint. Fully offline — all dependencies are
-# vendored in vendor/ and wired up via [workspace.dependencies].
+# Tier-1 gate: build, test, lint, and build and test the perfbench
+# benchmark. Fully offline — all dependencies are vendored in vendor/
+# and wired up via [workspace.dependencies].
 #
 # Usage: ci.sh [--bench-smoke] [--fault-smoke] [--trace-smoke] [--decision-smoke]
 #              [--analysis-smoke] [--shard-smoke] [--serve-smoke] [--obs-smoke]
@@ -98,6 +99,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== static verification gate (paper-standard configs) =="
 cargo run --release --example d2net-verify -- --paper-gate
+
+echo "== perfbench: build the benchmark and run its planted-fault tests =="
+# perfbench is a package of its own (not a workspace member); building
+# it here catches an API change that breaks the benchmark's entry points.
+cargo test --release --manifest-path perfbench/Cargo.toml
 
 if [[ "$BENCH_SMOKE" == "1" ]]; then
   echo "== bench smoke: compile benches, time a reduced sweep =="

@@ -17,31 +17,17 @@ fn sweep_point(
     ledger: Option<LedgerConfig>,
 ) -> SyntheticStats {
     let params = bench_params();
-    let load = 0.6;
-    match ledger {
-        None => run_synthetic(
-            net,
-            policy,
-            &SyntheticPattern::Uniform,
-            load,
-            params.duration_ns,
-            params.warmup_ns,
-            params.sim,
-        ),
-        Some(lc) => {
-            run_synthetic_ledgered(
-                net,
-                policy,
-                &SyntheticPattern::Uniform,
-                load,
-                params.duration_ns,
-                params.warmup_ns,
-                params.sim,
-                lc,
-            )
-            .0
-        }
-    }
+    let work = Synthetic::new(
+        &SyntheticPattern::Uniform,
+        0.6,
+        params.duration_ns,
+        params.warmup_ns,
+    );
+    let obs = Observers {
+        ledger,
+        ..Observers::default()
+    };
+    run(net, policy, &work, params.sim, obs).unwrap().stats
 }
 
 fn bench_decision_overhead(c: &mut Criterion) {

@@ -12,31 +12,17 @@ use std::hint::black_box;
 
 fn sweep_point(net: &Network, policy: &RoutePolicy, trace: Option<TraceConfig>) -> SyntheticStats {
     let params = bench_params();
-    let load = 0.6;
-    match trace {
-        None => run_synthetic(
-            net,
-            policy,
-            &SyntheticPattern::Uniform,
-            load,
-            params.duration_ns,
-            params.warmup_ns,
-            params.sim,
-        ),
-        Some(tc) => {
-            run_synthetic_traced(
-                net,
-                policy,
-                &SyntheticPattern::Uniform,
-                load,
-                params.duration_ns,
-                params.warmup_ns,
-                params.sim,
-                tc,
-            )
-            .0
-        }
-    }
+    let work = Synthetic::new(
+        &SyntheticPattern::Uniform,
+        0.6,
+        params.duration_ns,
+        params.warmup_ns,
+    );
+    let obs = Observers {
+        trace,
+        ..Observers::default()
+    };
+    run(net, policy, &work, params.sim, obs).unwrap().stats
 }
 
 fn bench_trace_overhead(c: &mut Criterion) {

@@ -96,7 +96,7 @@ pub fn time_analysis_case(case: &AnalysisCase) -> TimedAnalysis {
     let static_ms = t0.elapsed().as_secs_f64() * 1_000.0;
 
     let t1 = Instant::now();
-    let outcome = load_sweep_collect(
+    let outcome = sweep(
         &case.net,
         &policy,
         &SyntheticPattern::Uniform,
@@ -104,6 +104,8 @@ pub fn time_analysis_case(case: &AnalysisCase) -> TimedAnalysis {
         case.duration_ns,
         case.warmup_ns,
         case.sim,
+        Observers::default(),
+        1,
     );
     let sim_ms = t1.elapsed().as_secs_f64() * 1_000.0;
 

@@ -128,16 +128,15 @@ pub fn time_engine_case(case: &EngineCase, shard_counts: &[u32]) -> TimedEngine 
     let policy = RoutePolicy::new(&case.net, case.algo);
 
     let t0 = Instant::now();
-    let (serial_stats, serial_trace) = run_synthetic_traced(
+    let (serial_stats, serial_trace) = run(
         &case.net,
         &policy,
-        &case.pattern,
-        case.load,
-        case.duration_ns,
-        case.warmup_ns,
+        &Synthetic::new(&case.pattern, case.load, case.duration_ns, case.warmup_ns),
         case.sim,
-        counters_only(),
-    );
+        Observers::traced(counters_only()),
+    )
+    .map(|r| (r.stats, r.trace.expect("trace was attached")))
+    .unwrap();
     let serial_ms = t0.elapsed().as_secs_f64() * 1_000.0;
     let events = serial_trace.counters.events_popped;
 

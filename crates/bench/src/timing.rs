@@ -2,8 +2,8 @@
 //! behind `BENCH_sweep.json` (schema `d2net.bench-sweep/v1`).
 //!
 //! Each [`SweepCase`] is one (topology, routing, pattern) sweep over a
-//! load grid. [`time_case`] runs it twice — once through the serial
-//! [`load_sweep_collect`], once through [`par_load_sweep_collect`] —
+//! load grid. [`time_case`] runs it twice — once through [`sweep`] on
+//! one thread, once on the requested thread count —
 //! asserts the two outputs are `==` point for point (the determinism
 //! gate), and records both wall-clocks in a [`RunManifest`] with a
 //! [`SweepTiming`] section. [`bench_sweep_json`] bundles the manifests
@@ -80,7 +80,7 @@ pub fn time_case(case: &SweepCase, threads: usize) -> TimedSweep {
     let policy = RoutePolicy::new(&case.net, case.algo);
 
     let t0 = Instant::now();
-    let serial = load_sweep_collect(
+    let serial = sweep(
         &case.net,
         &policy,
         &case.pattern,
@@ -88,11 +88,13 @@ pub fn time_case(case: &SweepCase, threads: usize) -> TimedSweep {
         case.duration_ns,
         case.warmup_ns,
         case.sim,
+        Observers::default(),
+        1,
     );
     let serial_ms = t0.elapsed().as_secs_f64() * 1_000.0;
 
     let t1 = Instant::now();
-    let par = par_load_sweep_collect(
+    let par = sweep(
         &case.net,
         &policy,
         &case.pattern,
@@ -100,6 +102,7 @@ pub fn time_case(case: &SweepCase, threads: usize) -> TimedSweep {
         case.duration_ns,
         case.warmup_ns,
         case.sim,
+        Observers::default(),
         threads,
     );
     let parallel_ms = t1.elapsed().as_secs_f64() * 1_000.0;

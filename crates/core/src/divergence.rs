@@ -261,9 +261,28 @@ mod tests {
     use super::*;
     use d2net_analysis::{analyze_policy, LatencyModel, TrafficMatrix};
     use d2net_routing::{Algorithm, RoutePolicy};
-    use d2net_sim::{run_synthetic_probed, ProbeConfig, SimConfig, SweepPoint, SyntheticStats};
-    use d2net_topo::mlfm;
+    use d2net_sim::{
+        run, Observers, ProbeConfig, SimConfig, SweepPoint, Synthetic, SyntheticStats,
+        TelemetryReport,
+    };
+    use d2net_topo::{mlfm, Network};
     use d2net_traffic::SyntheticPattern;
+
+    /// The telemetry of one probed uniform run.
+    fn probed_run(
+        net: &Network,
+        policy: &RoutePolicy,
+        load: f64,
+        dur: u64,
+        warm: u64,
+    ) -> TelemetryReport {
+        let work = Synthetic::new(&SyntheticPattern::Uniform, load, dur, warm);
+        let obs = Observers::probed(ProbeConfig::default());
+        run(net, policy, &work, SimConfig::default(), obs)
+            .unwrap()
+            .telemetry
+            .unwrap()
+    }
 
     fn point(load: f64, throughput: f64, deadlocked: bool) -> SweepPoint {
         let mut stats = SyntheticStats::deadlocked_stub(load);
@@ -284,12 +303,12 @@ mod tests {
                 point(0.6, 0.55, false),
                 point(1.0, 0.0, true),
             ],
-            notices: Vec::new(),
+            ..SweepOutcome::default()
         };
         assert!((measured_saturation(&outcome) - 0.55).abs() < 1e-12);
         let all_wedged = SweepOutcome {
             points: vec![point(0.5, 0.0, true)],
-            notices: Vec::new(),
+            ..SweepOutcome::default()
         };
         assert_eq!(measured_saturation(&all_wedged), 0.0);
     }
@@ -328,16 +347,7 @@ mod tests {
         let pa = analyze_policy(&net, &policy, &tm, &LatencyModel::paper_default())
             .expect("oracle runs");
         let load = 0.4;
-        let (_, tel) = run_synthetic_probed(
-            &net,
-            &policy,
-            &SyntheticPattern::Uniform,
-            load,
-            30_000,
-            6_000,
-            SimConfig::default(),
-            ProbeConfig::default(),
-        );
+        let tel = probed_run(&net, &policy, load, 30_000, 6_000);
         let r = link_residuals(&net, &pa.reports[0], &tel, load).expect("geometries line up");
         // Every router-router directed link is compared.
         let directed: usize = (0..net.num_routers()).map(|v| net.degree(v) as usize).sum();
@@ -368,16 +378,7 @@ mod tests {
         let tm = TrafficMatrix::uniform(&net).expect("uniform matrix");
         let pa = analyze_policy(&net, &policy, &tm, &LatencyModel::paper_default())
             .expect("oracle runs");
-        let (_, tel) = run_synthetic_probed(
-            &net,
-            &policy,
-            &SyntheticPattern::Uniform,
-            0.3,
-            10_000,
-            2_000,
-            SimConfig::default(),
-            ProbeConfig::default(),
-        );
+        let tel = probed_run(&net, &policy, 0.3, 10_000, 2_000);
         let other = d2net_topo::slim_fly(5, d2net_topo::SlimFlyP::Floor);
         let err = link_residuals(&other, &pa.reports[0], &tel, 0.3).unwrap_err();
         assert!(err.contains("routers"), "{err}");

@@ -6,9 +6,8 @@ use crate::configs::RunParams;
 use d2net_analysis::{bisection, scale_table, ScaleRow};
 use d2net_routing::{Algorithm, RoutePolicy};
 use d2net_sim::{
-    load_sweep, load_sweep_collect, load_sweep_ledgered_collect, load_sweep_traced_collect,
-    par_curves, par_load_sweep_ledgered_collect, par_load_sweep_traced_collect, run_exchange,
-    ExchangeStats, LedgerConfig, PointLedger, PointTrace, SweepNotice, SweepPoint, TraceConfig,
+    par_curves, plan_shards, resolve_threads, run_exchange, sweep, ExchangeStats, LedgerConfig,
+    Observers, PointLedger, PointTrace, SweepNotice, SweepOutcome, SweepPoint, TraceConfig,
 };
 use d2net_topo::{mlfm, oft, slim_fly, Network, SlimFlyP, TopologyKind};
 use d2net_traffic::{
@@ -56,27 +55,42 @@ pub struct CurveSet {
     pub notices: Vec<SweepNotice>,
 }
 
+/// One whole curve's sweep at `params`, its points on `threads`
+/// workers.
+fn curve_sweep(
+    net: &Network,
+    policy: &RoutePolicy,
+    pattern: &SyntheticPattern,
+    params: &RunParams,
+    obs: Observers,
+    threads: usize,
+) -> SweepOutcome {
+    let (loads, dur, warm) = (&params.loads, params.duration_ns, params.warmup_ns);
+    sweep(
+        net, policy, pattern, loads, dur, warm, params.sim, obs, threads,
+    )
+}
+
 /// Fans labelled sweep jobs across `threads` workers and reassembles
-/// them in job order. Each job runs one whole curve; per-point seeds
-/// make the result identical to running the jobs serially.
+/// them in job order. Each job runs one whole curve on one worker, the
+/// budget divided by the largest shard count any curve's points use;
+/// per-point seeds make the result identical to running the jobs
+/// serially.
 fn curves_in_parallel(
     jobs: Vec<(String, RoutePolicy, SyntheticPattern, &Network)>,
     params: &RunParams,
     threads: usize,
 ) -> CurveSet {
+    let shards = jobs
+        .iter()
+        .map(|(_, policy, _, net)| plan_shards(net, policy, &params.sim))
+        .max()
+        .unwrap_or(1);
     let tasks: Vec<_> = jobs
         .into_iter()
         .map(|(label, policy, pattern, net)| {
             move || {
-                let out = load_sweep_collect(
-                    net,
-                    &policy,
-                    &pattern,
-                    &params.loads,
-                    params.duration_ns,
-                    params.warmup_ns,
-                    params.sim,
-                );
+                let out = curve_sweep(net, &policy, &pattern, params, Observers::default(), 1);
                 (
                     Curve {
                         label,
@@ -89,7 +103,7 @@ fn curves_in_parallel(
         .collect();
     let mut curves = Vec::new();
     let mut notices = Vec::new();
-    for (curve, mut n) in par_curves(tasks, threads) {
+    for (curve, mut n) in par_curves(tasks, (resolve_threads(threads) / shards).max(1)) {
         for notice in &mut n {
             notice.message = format!("{}: {}", curve.label, notice.message);
         }
@@ -110,10 +124,9 @@ pub struct TracedCurve {
     pub notices: Vec<SweepNotice>,
 }
 
-/// Runs one traced load sweep — serial when `threads == 1`, fanned
-/// across the worker pool otherwise. Both paths return byte-identical
-/// traces (the parallel merge is by point index), which
-/// `tests/trace.rs` pins down.
+/// Runs one traced load sweep on `threads` workers. The traces are
+/// byte-identical at every thread count (the pool merges them by point
+/// index), which `tests/trace.rs` pins down.
 #[allow(clippy::too_many_arguments)]
 pub fn traced_curve(
     net: &Network,
@@ -124,36 +137,20 @@ pub fn traced_curve(
     trace: TraceConfig,
     threads: usize,
 ) -> TracedCurve {
-    let (out, traces) = if threads == 1 {
-        load_sweep_traced_collect(
-            net,
-            policy,
-            pattern,
-            &params.loads,
-            params.duration_ns,
-            params.warmup_ns,
-            params.sim,
-            trace,
-        )
-    } else {
-        par_load_sweep_traced_collect(
-            net,
-            policy,
-            pattern,
-            &params.loads,
-            params.duration_ns,
-            params.warmup_ns,
-            params.sim,
-            trace,
-            threads,
-        )
-    };
+    let out = curve_sweep(
+        net,
+        policy,
+        pattern,
+        params,
+        Observers::traced(trace),
+        threads,
+    );
     TracedCurve {
         curve: Curve {
             label: label.into(),
             points: out.points,
         },
-        traces,
+        traces: out.traces,
         notices: out.notices,
     }
 }
@@ -169,10 +166,9 @@ pub struct LedgeredCurve {
     pub notices: Vec<SweepNotice>,
 }
 
-/// Runs one decision-ledgered load sweep — serial when `threads == 1`,
-/// fanned across the worker pool otherwise. Both paths return
-/// byte-identical ledgers (the parallel merge is by point index), which
-/// `tests/decisions.rs` pins down.
+/// Runs one decision-ledgered load sweep on `threads` workers. The
+/// ledgers are byte-identical at every thread count (the pool merges
+/// them by point index), which `tests/decisions.rs` pins down.
 #[allow(clippy::too_many_arguments)]
 pub fn ledgered_curve(
     net: &Network,
@@ -183,36 +179,20 @@ pub fn ledgered_curve(
     ledger: LedgerConfig,
     threads: usize,
 ) -> LedgeredCurve {
-    let (out, ledgers) = if threads == 1 {
-        load_sweep_ledgered_collect(
-            net,
-            policy,
-            pattern,
-            &params.loads,
-            params.duration_ns,
-            params.warmup_ns,
-            params.sim,
-            ledger,
-        )
-    } else {
-        par_load_sweep_ledgered_collect(
-            net,
-            policy,
-            pattern,
-            &params.loads,
-            params.duration_ns,
-            params.warmup_ns,
-            params.sim,
-            ledger,
-            threads,
-        )
-    };
+    let out = curve_sweep(
+        net,
+        policy,
+        pattern,
+        params,
+        Observers::ledgered(ledger),
+        threads,
+    );
     LedgeredCurve {
         curve: Curve {
             label: label.into(),
             points: out.points,
         },
-        ledgers,
+        ledgers: out.ledgers,
         notices: out.notices,
     }
 }
@@ -268,15 +248,9 @@ pub fn fig6(nets: &[Network], traffic: Traffic, params: &RunParams) -> Vec<Curve
         let pattern = traffic.pattern(net);
         for (algo, tag) in [(Algorithm::Minimal, "MIN"), (Algorithm::Valiant, "INR")] {
             let policy = RoutePolicy::new(net, algo);
-            let points = load_sweep(
-                net,
-                &policy,
-                &pattern,
-                &params.loads,
-                params.duration_ns,
-                params.warmup_ns,
-                params.sim,
-            );
+            let swept = curve_sweep(net, &policy, &pattern, params, Observers::default(), 1);
+            swept.print_notices();
+            let points = swept.points;
             out.push(Curve {
                 label: format!("{} {} {}", net.name(), tag, traffic.label()),
                 points,
@@ -325,15 +299,9 @@ pub fn adaptive_sweep(
                     threshold: *threshold,
                 },
             );
-            let points = load_sweep(
-                net,
-                &policy,
-                &pattern,
-                &params.loads,
-                params.duration_ns,
-                params.warmup_ns,
-                params.sim,
-            );
+            let swept = curve_sweep(net, &policy, &pattern, params, Observers::default(), 1);
+            swept.print_notices();
+            let points = swept.points;
             out.push(Curve {
                 label: format!("{} {} {}", net.name(), label, traffic.label()),
                 points,

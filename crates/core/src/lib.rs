@@ -27,12 +27,15 @@
 //! // Build the paper's OFT evaluation config, route adaptively, measure.
 //! let net = oft(6);
 //! let policy = RoutePolicy::new(&net, Algorithm::Ugal { n_i: 1, c: 2.0, threshold: None });
-//! let stats = run_synthetic(
-//!     &net, &policy, &SyntheticPattern::Uniform,
-//!     0.5, 30_000, 6_000, SimConfig::default(),
-//! );
-//! assert!(!stats.deadlocked);
-//! assert!((stats.throughput - 0.5).abs() < 0.05);
+//! let work = Synthetic::new(&SyntheticPattern::Uniform, 0.5, 30_000, 6_000);
+//! let probed = run(&net, &policy, &work, SimConfig::default(),
+//!                  Observers::probed(ProbeConfig::default())).unwrap();
+//! assert!(!probed.stats.deadlocked);
+//! assert!((probed.stats.throughput - 0.5).abs() < 0.05);
+//! // Observers never perturb the run: the plain shorthand agrees.
+//! let plain = run_synthetic(&net, &policy, &SyntheticPattern::Uniform,
+//!                           0.5, 30_000, 6_000, SimConfig::default());
+//! assert_eq!(plain, probed.stats);
 //! ```
 
 pub mod compare;
@@ -79,8 +82,7 @@ pub mod prelude {
     pub use crate::plot::{delay_chart, exchange_chart, throughput_chart, BarChart, LineChart};
     pub use crate::report::*;
     pub use crate::resilience::{
-        failure_fractions, resilience_sweep, resilience_sweep_par, resilience_sweep_traced,
-        resilience_sweep_traced_par, ResilienceCurve, ResiliencePoint,
+        failure_fractions, resilience_sweep, ResilienceCurve, ResiliencePoint,
     };
     pub use crate::supervise::{
         parse_algorithm, parse_pattern, parse_topology, run_supervised, supervision_manifest,
@@ -98,28 +100,19 @@ pub mod prelude {
         DecisionVerdict, IntermediateSet, MinimalTables, RoutePolicy, VcScheme,
     };
     pub use d2net_sim::{
-        backoff_ms, flight_sampled, ledger_metrics, load_grid, load_grid_from, load_sweep,
-        load_sweep_collect,
-        load_sweep_ledgered_collect, load_sweep_probed, load_sweep_probed_collect,
-        load_sweep_traced_collect, par_curves, par_load_sweep, par_load_sweep_collect,
-        par_load_sweep_ledgered_collect, par_load_sweep_probed, par_load_sweep_probed_collect,
-        par_load_sweep_traced_collect, par_load_sweep_with_order, plan_shards, point_seed,
-        preflight, resolve_threads, run_exchange, run_exchange_ledgered, run_exchange_probed,
-        run_exchange_traced,
-        run_synthetic, run_synthetic_faulted, run_synthetic_faulted_probed,
-        run_synthetic_ledgered, run_synthetic_probed, run_synthetic_sharded,
-        run_synthetic_sharded_faulted, run_synthetic_sharded_faulted_probed,
-        run_synthetic_sharded_ledgered, run_synthetic_sharded_probed, run_synthetic_sharded_traced,
-        run_synthetic_traced, supervised_load_sweep_collect, supervised_load_sweep_hooked,
-        sweep_metrics, CalendarStats, ChaosConfig, ChaosKind, DeadlockReport,
-        DecisionLedger, DecisionSample, EngineChaos, EngineFault, EngineLedger, EngineTrace,
-        EventQueueKind, ExchangeStats, FaultEvent, FaultSchedule, FlightEvent, FlightEventKind,
-        HarnessSpan, HotCounters, LedgerConfig, Metric, MetricValue, MetricsRegistry,
-        PacketFlight, PhaseSpan, PointLedger, PointTrace, PortHeat, Preflight, ProbeConfig,
-        RingEvent, RingEventKind, RouterDecisionStats, RunBudget, SimConfig, SimPhase,
-        SpanProfiler, SupervisedSweep, SuperviseConfig, SuperviseHooks, SupervisionSummary,
-        SweepNotice, SweepOutcome, SweepPoint, SyntheticStats, TelemetryReport, TelemetrySummary,
-        TraceConfig, WaitPoint, WaitSide, LEDGER_TOP_N, MARGIN_BOUNDS_BYTES,
+        backoff_ms, flight_sampled, ledger_metrics, load_grid, load_grid_from, par_curves,
+        plan_shards, point_seed, preflight, resolve_threads, run, run_exchange,
+        run_exchange_traced, run_synthetic, run_synthetic_sharded, run_synthetic_sharded_traced,
+        supervised_sweep, sweep, sweep_metrics, sweep_with_order, CalendarStats, ChaosConfig,
+        ChaosKind, DeadlockReport, DecisionLedger, DecisionSample, EngineChaos, EngineFault,
+        EngineLedger, EngineTrace, EventQueueKind, ExchangeRun, ExchangeStats, FaultEvent,
+        FaultSchedule, FlightEvent, FlightEventKind, HarnessSpan, HotCounters, LedgerConfig,
+        Metric, MetricValue, MetricsRegistry, Observers, PacketFlight, PhaseSpan, PointLedger,
+        PointTrace, PortHeat, Preflight, ProbeConfig, RingEvent, RingEventKind,
+        RouterDecisionStats, Run, RunBudget, SimConfig, SimPhase, SpanProfiler, SuperviseConfig,
+        SuperviseHooks, SupervisedSweep, SupervisionSummary, SweepNotice, SweepOutcome, SweepPoint,
+        Synthetic, SyntheticStats, TelemetryReport, TelemetrySummary, TraceConfig, WaitPoint,
+        WaitSide, LEDGER_TOP_N, MARGIN_BOUNDS_BYTES,
     };
     pub use d2net_topo::{
         fat_tree2, hyperx2, hyperx2_balanced, mlfm, mlfm_general, oft, oft_general, slim_fly,

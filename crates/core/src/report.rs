@@ -418,26 +418,10 @@ impl JsonWriter {
         }
     }
 
-    fn escape_into(out: &mut String, s: &str) {
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-    }
-
     /// Writes `"key":` (inside an object, before the value call).
     pub fn key(&mut self, k: &str) -> &mut Self {
         self.comma();
-        Self::escape_into(&mut self.out, k);
+        d2net_sim::obs::escape_into(&mut self.out, k);
         self.out.push(':');
         // The upcoming value must not get its own comma.
         if let Some(top) = self.has_item.last_mut() {
@@ -480,7 +464,7 @@ impl JsonWriter {
 
     pub fn string(&mut self, v: &str) -> &mut Self {
         self.comma();
-        Self::escape_into(&mut self.out, v);
+        d2net_sim::obs::escape_into(&mut self.out, v);
         self
     }
 

@@ -11,16 +11,16 @@
 //!
 //! Every point is a pure function of `(config, point index)`: the fault
 //! sample, the RNG stream and the simulated schedule derive from
-//! [`point_seed`] alone, so [`resilience_sweep_par`] is byte-identical
-//! to the serial [`resilience_sweep`] — the same guarantee the load
-//! sweeps make, extended to degraded networks.
+//! [`point_seed`] alone, so [`resilience_sweep`] is byte-identical at
+//! every thread count — the same guarantee the load sweeps make,
+//! extended to degraded networks.
 
 use crate::report::{FaultPointRecord, FaultsManifest};
 use d2net_routing::{Algorithm, RoutePolicy};
 use d2net_sim::sweep::SweepNotice;
 use d2net_sim::{
-    par_curves, point_seed, run_synthetic, run_synthetic_traced, EngineTrace, PointTrace,
-    Preflight, SimConfig, SweepPoint, SyntheticStats, TraceConfig,
+    par_curves, plan_shards, point_seed, resolve_threads, run, EngineTrace, Observers, PointTrace,
+    Preflight, SimConfig, SweepPoint, Synthetic, SyntheticStats, TraceConfig,
 };
 use d2net_topo::{FaultSet, Network};
 use d2net_traffic::SyntheticPattern;
@@ -97,12 +97,13 @@ pub fn failure_fractions(max: f64, steps: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Simulates one resilience point; pure in `(cfg, idx)` so serial and
-/// parallel sweeps produce identical results.
+/// Simulates one resilience point; pure in `(cfg, idx)` so the result
+/// is the same at every thread count. `pristine` is `net`'s own policy
+/// under `algorithm`, which the `0.0` fraction simulates.
 #[allow(clippy::too_many_arguments)]
 fn resilience_point(
     net: &Network,
-    algorithm: Algorithm,
+    pristine: &RoutePolicy,
     pattern: &SyntheticPattern,
     load: f64,
     fraction: f64,
@@ -126,13 +127,17 @@ fn resilience_point(
     } else {
         (None, FaultSet::new())
     };
+    let repaired;
     let (subject, policy) = match &degraded {
         // The pristine baseline keeps the paper's original VC scheme;
         // repair falls back to it on an undamaged network anyway.
-        None => (net, RoutePolicy::new(net, algorithm)),
-        Some(d) => (d, RoutePolicy::repair(d, algorithm)),
+        None => (net, pristine),
+        Some(d) => {
+            repaired = RoutePolicy::repair(d, pristine.algorithm());
+            (d, &repaired)
+        }
     };
-    let report = verify(subject, &policy, &point_cfg.verify_params());
+    let report = verify(subject, policy, &point_cfg.verify_params());
     let certified = report.verdict() == Verdict::Certified;
     let (stats, notice, engine_trace) = if report.verdict() == Verdict::Rejected {
         let notice = SweepNotice::new(
@@ -148,29 +153,14 @@ fn resilience_point(
         // Rejected points carry no trace — rejection is pure per point,
         // so serial and parallel traced sweeps skip the same points.
         (SyntheticStats::rejected_stub(load), Some(notice), None)
-    } else if let Some(tc) = trace {
-        let (stats, tr) = run_synthetic_traced(
-            subject,
-            &policy,
-            pattern,
-            load,
-            duration_ns,
-            warmup_ns,
-            point_cfg,
-            tc,
-        );
-        (stats, None, Some(tr))
     } else {
-        let stats = run_synthetic(
-            subject,
-            &policy,
-            pattern,
-            load,
-            duration_ns,
-            warmup_ns,
-            point_cfg,
-        );
-        (stats, None, None)
+        let work = Synthetic::new(pattern, load, duration_ns, warmup_ns);
+        let obs = Observers {
+            trace,
+            ..Observers::default()
+        };
+        let out = run(subject, policy, &work, point_cfg, obs).unwrap_or_else(|e| panic!("{e}"));
+        (out.stats, None, out.trace)
     };
     let point = ResiliencePoint {
         fraction,
@@ -186,6 +176,12 @@ fn resilience_point(
 /// Sweeps `net` under `algorithm` across `fractions` of failed links at
 /// a fixed offered `load`: the throughput/latency-vs-degradation axes of
 /// the robustness evaluation. See the module docs for point semantics.
+///
+/// Points fan across `threads` workers (`0` = auto), the budget divided
+/// by the points' own shard count. With a [`TraceConfig`], every
+/// simulated point comes back as a [`PointTrace`] whose `load` field
+/// carries the **failure fraction** (the sweep's x-axis); rejected
+/// points have none.
 #[allow(clippy::too_many_arguments)]
 pub fn resilience_sweep(
     net: &Network,
@@ -196,105 +192,32 @@ pub fn resilience_sweep(
     duration_ns: u64,
     warmup_ns: u64,
     cfg: SimConfig,
-) -> ResilienceCurve {
-    resilience_sweep_traced(
-        net, algorithm, pattern, load, fractions, duration_ns, warmup_ns, cfg, None,
-    )
-    .0
-}
-
-/// [`resilience_sweep`] with an optional [`TraceConfig`] attached to
-/// every simulated point; traced points come back as [`PointTrace`]s
-/// whose `load` field carries the **failure fraction** (the sweep's
-/// x-axis). Rejected points are skipped, identically serial and
-/// parallel.
-#[allow(clippy::too_many_arguments)]
-pub fn resilience_sweep_traced(
-    net: &Network,
-    algorithm: Algorithm,
-    pattern: &SyntheticPattern,
-    load: f64,
-    fractions: &[f64],
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-    trace: Option<TraceConfig>,
-) -> (ResilienceCurve, Vec<PointTrace>) {
-    let mut points = Vec::with_capacity(fractions.len());
-    let mut notices = Vec::new();
-    let mut traces = Vec::new();
-    for (idx, &fraction) in fractions.iter().enumerate() {
-        let (point, notice, tr) = resilience_point(
-            net, algorithm, pattern, load, fraction, idx, duration_ns, warmup_ns, cfg, trace,
-        );
-        points.push(point);
-        notices.extend(notice);
-        if let Some(tr) = tr {
-            traces.push(PointTrace {
-                index: idx,
-                load: fraction,
-                trace: tr,
-            });
-        }
-    }
-    (
-        ResilienceCurve {
-            label: curve_label(net, algorithm, load),
-            points,
-            notices,
-        },
-        traces,
-    )
-}
-
-/// [`resilience_sweep`] fanned across `threads` workers (`0` = auto).
-/// Byte-identical to the serial sweep: every point is seed-isolated.
-#[allow(clippy::too_many_arguments)]
-pub fn resilience_sweep_par(
-    net: &Network,
-    algorithm: Algorithm,
-    pattern: &SyntheticPattern,
-    load: f64,
-    fractions: &[f64],
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-    threads: usize,
-) -> ResilienceCurve {
-    resilience_sweep_traced_par(
-        net, algorithm, pattern, load, fractions, duration_ns, warmup_ns, cfg, None, threads,
-    )
-    .0
-}
-
-/// [`resilience_sweep_traced`] fanned across `threads` workers
-/// (`0` = auto). Worker trace buffers are merged by point index, so the
-/// returned traces are byte-identical to the serial sweep's.
-#[allow(clippy::too_many_arguments)]
-pub fn resilience_sweep_traced_par(
-    net: &Network,
-    algorithm: Algorithm,
-    pattern: &SyntheticPattern,
-    load: f64,
-    fractions: &[f64],
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
     trace: Option<TraceConfig>,
     threads: usize,
 ) -> (ResilienceCurve, Vec<PointTrace>) {
+    let pristine = RoutePolicy::new(net, algorithm);
+    let pristine = &pristine;
     let jobs: Vec<_> = fractions
         .iter()
         .enumerate()
         .map(|(idx, &fraction)| {
             move || {
                 resilience_point(
-                    net, algorithm, pattern, load, fraction, idx, duration_ns, warmup_ns, cfg,
+                    net,
+                    pristine,
+                    pattern,
+                    load,
+                    fraction,
+                    idx,
+                    duration_ns,
+                    warmup_ns,
+                    cfg,
                     trace,
                 )
             }
         })
         .collect();
+    let threads = (resolve_threads(threads) / plan_shards(net, pristine, &cfg)).max(1);
     let results = par_curves(jobs, threads);
     let mut points = Vec::with_capacity(results.len());
     let mut notices = Vec::new();
@@ -329,8 +252,16 @@ mod tests {
     use super::*;
     use d2net_topo::mlfm;
 
-    fn tiny_cfg() -> SimConfig {
-        SimConfig::default()
+    /// A 30 µs MIN sweep of MLFM(h=3) at load 0.3 on `threads` workers.
+    fn tiny_sweep(fractions: &[f64], threads: usize) -> ResilienceCurve {
+        let net = mlfm(3);
+        let pattern = SyntheticPattern::Uniform;
+        let cfg = SimConfig::default();
+        let algo = Algorithm::Minimal;
+        resilience_sweep(
+            &net, algo, &pattern, 0.3, fractions, 30_000, 6_000, cfg, None, threads,
+        )
+        .0
     }
 
     #[test]
@@ -344,17 +275,7 @@ mod tests {
 
     #[test]
     fn pristine_point_is_the_plain_run() {
-        let net = mlfm(3);
-        let curve = resilience_sweep(
-            &net,
-            Algorithm::Minimal,
-            &SyntheticPattern::Uniform,
-            0.3,
-            &[0.0],
-            30_000,
-            6_000,
-            tiny_cfg(),
-        );
+        let curve = tiny_sweep(&[0.0], 1);
         let p = &curve.points[0];
         assert_eq!(p.failed_links, 0);
         assert_eq!(p.unreachable_pairs, 0);
@@ -365,17 +286,7 @@ mod tests {
 
     #[test]
     fn degraded_points_survive_and_account_losses() {
-        let net = mlfm(3);
-        let curve = resilience_sweep(
-            &net,
-            Algorithm::Minimal,
-            &SyntheticPattern::Uniform,
-            0.3,
-            &failure_fractions(0.10, 3),
-            30_000,
-            6_000,
-            tiny_cfg(),
-        );
+        let curve = tiny_sweep(&failure_fractions(0.10, 3), 1);
         assert_eq!(curve.points.len(), 3);
         for p in &curve.points {
             assert!(!p.stats.deadlocked, "fraction {} wedged", p.fraction);
@@ -390,29 +301,9 @@ mod tests {
 
     #[test]
     fn parallel_sweep_is_byte_identical_to_serial() {
-        let net = mlfm(3);
         let fractions = failure_fractions(0.10, 3);
-        let serial = resilience_sweep(
-            &net,
-            Algorithm::Minimal,
-            &SyntheticPattern::Uniform,
-            0.3,
-            &fractions,
-            30_000,
-            6_000,
-            tiny_cfg(),
-        );
-        let parallel = resilience_sweep_par(
-            &net,
-            Algorithm::Minimal,
-            &SyntheticPattern::Uniform,
-            0.3,
-            &fractions,
-            30_000,
-            6_000,
-            tiny_cfg(),
-            2,
-        );
+        let serial = tiny_sweep(&fractions, 1);
+        let parallel = tiny_sweep(&fractions, 2);
         assert_eq!(serial, parallel);
     }
 }

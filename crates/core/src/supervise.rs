@@ -16,7 +16,7 @@ use crate::report::{RunManifest, SupervisionManifest};
 use d2net_analysis::algorithm_label;
 use d2net_routing::{Algorithm, RoutePolicy};
 use d2net_sim::{
-    load_grid, supervised_load_sweep_hooked, SimConfig, SuperviseConfig, SuperviseHooks,
+    load_grid, supervised_sweep, Observers, SimConfig, SuperviseConfig, SuperviseHooks,
     SupervisionSummary,
 };
 use d2net_topo::{mlfm, oft, slim_fly, Network, SlimFlyP};
@@ -266,7 +266,7 @@ pub fn run_supervised(
         stop,
         on_point: Some(&on_point),
     };
-    let result = supervised_load_sweep_hooked(
+    let result = supervised_sweep(
         &req.net,
         &policy,
         &pattern,
@@ -274,6 +274,7 @@ pub fn run_supervised(
         req.duration_ns,
         req.warmup_ns,
         req.cfg,
+        Observers::default(),
         &req.sup,
         &hooks,
     );

@@ -266,7 +266,7 @@ impl OccupancyView for OccView<'_> {
 }
 
 /// One pre-resolved entry of a mid-run fault schedule, as the engine
-/// consumes it: the caller ([`crate::run_synthetic_faulted`]) has already
+/// consumes it: the caller ([`crate::run`]) has already
 /// built the cumulatively degraded network and a policy repaired around
 /// it for each event.
 pub struct EngineFault<'a> {
@@ -463,8 +463,8 @@ impl<'a> Engine<'a> {
     }
 
     /// [`Engine::try_new`] plus a mid-run fault schedule, pre-resolved by
-    /// [`crate::run_synthetic_faulted`]: each [`EngineFault`] fires as an
-    /// ordinary event at its time. VC buffers are provisioned for the
+    /// [`crate::run`] for a faulted [`crate::Synthetic`]: each
+    /// [`EngineFault`] fires as an ordinary event at its time. VC buffers are provisioned for the
     /// maximum VC count across the initial policy and every repaired
     /// policy, so packets routed before and after a failure coexist.
     pub fn try_new_faulted(
@@ -1571,9 +1571,11 @@ impl<'a> Engine<'a> {
         self.exhausted
     }
 
-    /// Arms (or clears) a chaos fault for the next run — the
-    /// supervisor's per-(point, attempt) hook.
-    pub(crate) fn set_chaos(&mut self, chaos: Option<EngineChaos>) {
+    /// Arms (or clears) a chaos fault for the next run and records the
+    /// run's seed (which a chaos panic reports) — a reused sweep engine's
+    /// per-point hook.
+    pub(crate) fn set_point(&mut self, seed: u64, chaos: Option<EngineChaos>) {
+        self.cfg.seed = seed;
         self.cfg.chaos = chaos;
     }
 
@@ -1927,21 +1929,6 @@ impl<'a> Engine<'a> {
         })
     }
 
-    /// Consumes the engine after a synthetic run.
-    pub fn finish_synthetic(self, load: f64, end_ps: u64) -> SyntheticStats {
-        self.finish_synthetic_probed(load, end_ps).0
-    }
-
-    /// Like [`Engine::finish_synthetic`], also returning the telemetry
-    /// report when a probe was attached.
-    pub fn finish_synthetic_probed(
-        mut self,
-        load: f64,
-        end_ps: u64,
-    ) -> (SyntheticStats, Option<TelemetryReport>) {
-        self.run_synthetic_to(load, end_ps)
-    }
-
     /// Runs one synthetic workload to `end_ps` **without consuming the
     /// engine**: afterwards [`Engine::reset`] rewinds it for the next
     /// point of a sweep, reusing every allocation.
@@ -2271,182 +2258,6 @@ pub(crate) fn synthetic_sources(
         .collect()
 }
 
-/// Runs steady-state synthetic traffic on `net` under `policy`.
-///
-/// `load` is the per-node offered load as a fraction of link bandwidth;
-/// the system is simulated for `duration_ns` with statistics collected
-/// after `warmup_ns` (paper §4.1: 200 µs with a 20 µs warm-up).
-pub fn run_synthetic(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &d2net_traffic::SyntheticPattern,
-    load: f64,
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-) -> SyntheticStats {
-    d2net_verify::invariant::warmup_within(warmup_ns, duration_ns).unwrap_or_else(|e| panic!("{e}"));
-    let end_ps = duration_ns * 1_000;
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let sources = synthetic_sources(net, pattern, load, end_ps, &cfg, &mut rng);
-    let engine = Engine::new(net, policy, cfg, sources, warmup_ns * 1_000, rng);
-    engine.finish_synthetic(load, end_ps)
-}
-
-/// [`run_synthetic`] with an observability probe attached: identical
-/// simulated schedule, plus a [`TelemetryReport`] of the run.
-#[allow(clippy::too_many_arguments)]
-pub fn run_synthetic_probed(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &d2net_traffic::SyntheticPattern,
-    load: f64,
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-    probe: ProbeConfig,
-) -> (SyntheticStats, TelemetryReport) {
-    d2net_verify::invariant::warmup_within(warmup_ns, duration_ns).unwrap_or_else(|e| panic!("{e}"));
-    let end_ps = duration_ns * 1_000;
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let sources = synthetic_sources(net, pattern, load, end_ps, &cfg, &mut rng);
-    let mut engine = Engine::new(net, policy, cfg, sources, warmup_ns * 1_000, rng);
-    engine.attach_probe(probe);
-    let (stats, telemetry) = engine.finish_synthetic_probed(load, end_ps);
-    (stats, telemetry.expect("probe was attached"))
-}
-
-/// [`run_synthetic`] with a structured trace recorder attached:
-/// identical simulated schedule and byte-identical stats, plus the
-/// deterministic [`EngineTrace`] of the run (see [`crate::trace`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_synthetic_traced(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &d2net_traffic::SyntheticPattern,
-    load: f64,
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-    trace: TraceConfig,
-) -> (SyntheticStats, EngineTrace) {
-    d2net_verify::invariant::warmup_within(warmup_ns, duration_ns).unwrap_or_else(|e| panic!("{e}"));
-    let end_ps = duration_ns * 1_000;
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let sources = synthetic_sources(net, pattern, load, end_ps, &cfg, &mut rng);
-    let mut engine = Engine::new(net, policy, cfg, sources, warmup_ns * 1_000, rng);
-    engine.attach_trace(trace);
-    let (stats, _) = engine.run_synthetic_to(load, end_ps);
-    let trace = engine.take_trace().expect("trace was attached");
-    (stats, trace)
-}
-
-/// [`run_synthetic`] with a routing-decision ledger attached: identical
-/// simulated schedule and byte-identical stats, plus the deterministic
-/// [`EngineLedger`] of the run (see [`crate::ledger`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_synthetic_ledgered(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &d2net_traffic::SyntheticPattern,
-    load: f64,
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-    ledger: LedgerConfig,
-) -> (SyntheticStats, EngineLedger) {
-    d2net_verify::invariant::warmup_within(warmup_ns, duration_ns).unwrap_or_else(|e| panic!("{e}"));
-    let end_ps = duration_ns * 1_000;
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let sources = synthetic_sources(net, pattern, load, end_ps, &cfg, &mut rng);
-    let mut engine = Engine::new(net, policy, cfg, sources, warmup_ns * 1_000, rng);
-    engine.attach_ledger(ledger);
-    let (stats, _) = engine.run_synthetic_to(load, end_ps);
-    let ledger = engine.take_ledger().expect("ledger was attached");
-    (stats, ledger)
-}
-
-/// [`run_synthetic`] under a mid-run [`FaultSchedule`]: each event's
-/// failures fire at their simulated time with drain-or-drop semantics,
-/// and injections from then on route with a policy repaired around the
-/// cumulative degradation ([`d2net_routing::RoutePolicy::repair`]).
-/// Unroutable traffic retries at the source with exponential backoff
-/// before being dropped; see [`SyntheticStats::dropped_packets`] and
-/// [`SyntheticStats::retried_packets`]. Configuration problems (rejected
-/// preflight, undersized buffers, warm-up ≥ duration, unsorted schedule)
-/// come back as a coded `Err`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_synthetic_faulted(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &d2net_traffic::SyntheticPattern,
-    schedule: &FaultSchedule,
-    load: f64,
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-) -> Result<SyntheticStats, String> {
-    run_synthetic_faulted_inner(
-        net, policy, pattern, schedule, load, duration_ns, warmup_ns, cfg, None,
-    )
-    .map(|(stats, _)| stats)
-}
-
-/// [`run_synthetic_faulted`] with an observability probe attached: the
-/// telemetry rings record the fault events and the forensics distinguish
-/// a partition wedge from a credit deadlock.
-#[allow(clippy::too_many_arguments)]
-pub fn run_synthetic_faulted_probed(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &d2net_traffic::SyntheticPattern,
-    schedule: &FaultSchedule,
-    load: f64,
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-    probe: ProbeConfig,
-) -> Result<(SyntheticStats, TelemetryReport), String> {
-    run_synthetic_faulted_inner(
-        net,
-        policy,
-        pattern,
-        schedule,
-        load,
-        duration_ns,
-        warmup_ns,
-        cfg,
-        Some(probe),
-    )
-    .map(|(stats, tel)| (stats, tel.expect("probe was attached")))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_synthetic_faulted_inner(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &d2net_traffic::SyntheticPattern,
-    schedule: &FaultSchedule,
-    load: f64,
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-    probe: Option<ProbeConfig>,
-) -> Result<(SyntheticStats, Option<TelemetryReport>), String> {
-    d2net_verify::invariant::warmup_within(warmup_ns, duration_ns)?;
-    let end_ps = duration_ns * 1_000;
-    let policies = resolve_fault_policies(net, policy, schedule);
-    let faults = engine_faults(net, schedule, &policies);
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let sources = synthetic_sources(net, pattern, load, end_ps, &cfg, &mut rng);
-    let mut engine =
-        Engine::try_new_faulted(net, policy, cfg, sources, warmup_ns * 1_000, rng, faults)?;
-    if let Some(p) = probe {
-        engine.attach_probe(p);
-    }
-    Ok(engine.run_synthetic_to(load, end_ps))
-}
-
 /// Pre-resolves a [`FaultSchedule`]: for each event, a policy repaired
 /// around the cumulatively degraded network. Out-of-range or
 /// non-adjacent ids are filtered downstream; re-failing an
@@ -2485,99 +2296,4 @@ pub(crate) fn engine_faults<'a>(
             policy: p,
         })
         .collect()
-}
-
-/// Runs a fixed-size exchange to completion. `window` is the number of
-/// messages each node keeps in flight simultaneously (1 = fully staged).
-///
-/// The run shards like [`crate::run_synthetic_sharded`]: the shard
-/// count comes from [`SimConfig::shards`] / `D2NET_SHARDS` / the auto
-/// heuristic (see [`crate::plan_shards`]), and the output is identical
-/// at every count.
-pub fn run_exchange(
-    net: &Network,
-    policy: &RoutePolicy,
-    exchange: &d2net_traffic::Exchange,
-    window: usize,
-    cfg: SimConfig,
-) -> ExchangeStats {
-    run_exchange_inner(net, policy, exchange, window, cfg, None, None, None).0
-}
-
-/// [`run_exchange`] with an observability probe attached.
-pub fn run_exchange_probed(
-    net: &Network,
-    policy: &RoutePolicy,
-    exchange: &d2net_traffic::Exchange,
-    window: usize,
-    cfg: SimConfig,
-    probe: ProbeConfig,
-) -> (ExchangeStats, TelemetryReport) {
-    let (stats, tel, _, _) =
-        run_exchange_inner(net, policy, exchange, window, cfg, Some(probe), None, None);
-    (stats, tel.expect("probe was attached"))
-}
-
-/// [`run_exchange`] with a structured trace recorder attached. Exchanges
-/// have no warmup; the measure phase ends at the last delivery and the
-/// drain phase covers the settling credits afterwards.
-pub fn run_exchange_traced(
-    net: &Network,
-    policy: &RoutePolicy,
-    exchange: &d2net_traffic::Exchange,
-    window: usize,
-    cfg: SimConfig,
-    trace: TraceConfig,
-) -> (ExchangeStats, EngineTrace) {
-    let (stats, _, tr, _) =
-        run_exchange_inner(net, policy, exchange, window, cfg, None, Some(trace), None);
-    (stats, tr.expect("trace was attached"))
-}
-
-/// [`run_exchange`] with a routing-decision ledger attached: identical
-/// simulated schedule and byte-identical stats, plus the deterministic
-/// [`EngineLedger`] of the exchange (see [`crate::ledger`]).
-pub fn run_exchange_ledgered(
-    net: &Network,
-    policy: &RoutePolicy,
-    exchange: &d2net_traffic::Exchange,
-    window: usize,
-    cfg: SimConfig,
-    ledger: LedgerConfig,
-) -> (ExchangeStats, EngineLedger) {
-    let (stats, _, _, led) =
-        run_exchange_inner(net, policy, exchange, window, cfg, None, None, Some(ledger));
-    (stats, led.expect("ledger was attached"))
-}
-
-/// The one exchange core behind the `run_exchange*` entry points.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-fn run_exchange_inner(
-    net: &Network,
-    policy: &RoutePolicy,
-    exchange: &d2net_traffic::Exchange,
-    window: usize,
-    cfg: SimConfig,
-    probe: Option<ProbeConfig>,
-    trace: Option<TraceConfig>,
-    ledger: Option<LedgerConfig>,
-) -> (
-    ExchangeStats,
-    Option<TelemetryReport>,
-    Option<EngineTrace>,
-    Option<EngineLedger>,
-) {
-    invariant!(
-        exchange.sends.len() == net.num_nodes() as usize,
-        "exchange pattern must cover every node ({} send lists, {} nodes)",
-        exchange.sends.len(),
-        net.num_nodes()
-    );
-    let work = crate::shard::ExchangeRun {
-        exchange,
-        window,
-        total_bytes: exchange.total_bytes(),
-    };
-    crate::shard::run_sharded_inner(net, policy, &work, cfg, probe, trace, ledger)
-        .unwrap_or_else(|e| panic!("{e}"))
 }

@@ -7,27 +7,23 @@
 //! traversal, 100 Gb/s links with 50 ns latency, 256 B packets.
 //!
 //! Entry points:
-//! - [`run_synthetic`] — steady-state uniform / permutation traffic with
-//!   warm-up, reporting accepted throughput and mean packet delay;
-//! - [`run_exchange`] — fixed-size collective exchanges (A2A / NN) run to
-//!   completion, reporting effective throughput; sharded like
-//!   [`run_synthetic_sharded`] when a shard count is requested (or auto
-//!   picks one), byte-identical at every count;
-//! - [`sweep::load_sweep`] — the offered-load axes of Figs. 6–12;
-//! - [`run_synthetic_probed`] / [`run_exchange_probed`] /
-//!   [`sweep::load_sweep_probed`] — the same runs with an observability
-//!   probe attached (see [`telemetry`]): utilization/occupancy series,
-//!   per-router event rings and deadlock forensics; `*_traced` and
-//!   `*_ledgered` variants return the flight trace ([`trace`]) and the
-//!   routing-decision ledger ([`ledger`]) the same way;
-//! - [`par::par_load_sweep`] / [`par::par_curves`] — the same sweeps fanned
-//!   out across a scoped worker pool, byte-identical to the serial runs
-//!   (per-point seeds are index-derived; see [`par`]);
-//! - [`run_synthetic_sharded`] and friends — single runs partitioned
-//!   across router shards in conservative time windows, byte-identical
-//!   to serial at any shard count (see [`shard`]); the sweeps compose
-//!   shard- with point-level parallelism under one thread budget. The
-//!   exchanges above run on the same coordinator.
+//! - [`run()`] — one run of a [`Workload`]: steady-state [`Synthetic`]
+//!   traffic with warm-up (accepted throughput, mean packet delay),
+//!   optionally under a mid-run [`FaultSchedule`], or a fixed-size
+//!   collective [`ExchangeRun`] (A2A / NN) drained to completion
+//!   (effective throughput). [`Observers`] attach a telemetry probe
+//!   ([`telemetry`]), a flight trace ([`trace`]) and a routing-decision
+//!   ledger ([`ledger`]); the [`Run`] carries their output. The run is
+//!   partitioned across router shards in conservative time windows when
+//!   a shard count is requested (or auto picks one), byte-identical to
+//!   serial at every count (see [`shard`]);
+//! - [`run_synthetic`] / [`run_exchange`] — the observer-free shorthands;
+//! - [`sweep()`] — the offered-load axes of Figs. 6–12: one point per
+//!   load from index-derived seeds, fanned across a worker pool that
+//!   shares one thread budget with the shards, with the same outcome at
+//!   every thread count;
+//! - [`supervised_sweep`] — the same pool with retries, chaos, resume
+//!   and a stop signal (see [`supervise`]).
 
 pub mod config;
 pub mod engine;
@@ -46,37 +42,29 @@ pub mod telemetry;
 pub mod trace;
 
 pub use config::{ChaosKind, EngineChaos, EventQueueKind, Preflight, RunBudget, SimConfig};
-pub use engine::{
-    preflight, run_exchange, run_exchange_ledgered, run_exchange_probed, run_exchange_traced,
-    run_synthetic,
-    run_synthetic_faulted, run_synthetic_faulted_probed, run_synthetic_ledgered,
-    run_synthetic_probed, run_synthetic_traced, Engine, EngineFault,
-};
+pub use engine::{preflight, Engine, EngineFault};
 pub use equeue::CalendarStats;
 pub use fault::{FaultEvent, FaultSchedule};
 pub use ledger::{
     ledger_metrics, DecisionLedger, DecisionSample, EngineLedger, LedgerConfig, PointLedger,
     PortHeat, RouterDecisionStats, LEDGER_TOP_N, MARGIN_BOUNDS_BYTES,
 };
-pub use par::{
-    par_curves, par_load_sweep, par_load_sweep_collect, par_load_sweep_ledgered_collect,
-    par_load_sweep_probed, par_load_sweep_probed_collect, par_load_sweep_traced_collect,
-    par_load_sweep_with_order, resolve_threads,
-};
+pub use par::{par_curves, resolve_threads};
+/// [`run_synthetic`] under its former name. Kept only because the
+/// `perfbench` benchmark calls it; it goes when the benchmark migrates.
+pub use shard::run_synthetic as run_synthetic_sharded;
 pub use shard::{
-    plan_shards, run_synthetic_sharded, run_synthetic_sharded_faulted,
-    run_synthetic_sharded_faulted_probed, run_synthetic_sharded_ledgered,
-    run_synthetic_sharded_probed, run_synthetic_sharded_traced,
+    plan_shards, run, run_exchange, run_exchange_traced, run_synthetic,
+    run_synthetic_sharded_traced, ExchangeRun, Observers, Run, Synthetic, Workload,
 };
 pub use stats::{DelayHistogram, ExchangeStats, SyntheticStats};
 pub use supervise::{
-    backoff_ms, supervised_load_sweep_collect, supervised_load_sweep_hooked, ChaosConfig,
-    SupervisedSweep, SuperviseConfig, SuperviseHooks, SupervisionSummary,
+    backoff_ms, supervised_sweep, ChaosConfig, SuperviseConfig, SuperviseHooks, SupervisedSweep,
+    SupervisionSummary,
 };
 pub use sweep::{
-    load_grid, load_grid_from, load_sweep, load_sweep_collect, load_sweep_ledgered_collect,
-    load_sweep_probed, load_sweep_probed_collect, load_sweep_traced_collect, point_seed,
-    saturation_throughput, SweepNotice, SweepOutcome, SweepPoint,
+    load_grid, load_grid_from, point_seed, sweep, sweep_with_order, SweepNotice, SweepOutcome,
+    SweepPoint,
 };
 pub use telemetry::{
     DeadlockReport, ProbeConfig, RingEvent, RingEventKind, TelemetryReport, TelemetrySummary,
@@ -613,16 +601,15 @@ mod tests {
         let policy = RoutePolicy::new(&net, Algorithm::Minimal);
         let cfg = SimConfig::default();
         let plain = run_synthetic(&net, &policy, &SyntheticPattern::Uniform, 0.4, 60_000, 10_000, cfg);
-        let faulted = run_synthetic_faulted(
+        let faulted = run(
             &net,
             &policy,
-            &SyntheticPattern::Uniform,
-            &FaultSchedule::new(),
-            0.4,
-            60_000,
-            10_000,
+            &Synthetic::new(&SyntheticPattern::Uniform, 0.4, 60_000, 10_000)
+                .with_faults(&FaultSchedule::new()),
             cfg,
+            Observers::default(),
         )
+        .map(|r| r.stats)
         .expect("empty schedule is a valid run");
         assert_eq!(plain, faulted, "no faults must mean a byte-identical run");
         assert_eq!(faulted.dropped_packets, 0);
@@ -640,16 +627,14 @@ mod tests {
         let mut fs = d2net_topo::FaultSet::new();
         fs.fail_link(0, net.neighbors(0)[0]);
         let schedule = FaultSchedule::new().at(20_000, fs);
-        let stats = run_synthetic_faulted(
+        let stats = run(
             &net,
             &policy,
-            &SyntheticPattern::Uniform,
-            &schedule,
-            0.4,
-            60_000,
-            10_000,
+            &Synthetic::new(&SyntheticPattern::Uniform, 0.4, 60_000, 10_000).with_faults(&schedule),
             cfg,
+            Observers::default(),
         )
+        .map(|r| r.stats)
         .expect("degraded slim fly remains simulable");
         assert!(!stats.deadlocked, "one failed link must not wedge the run");
         assert!(stats.delivered_packets > 100);
@@ -667,16 +652,20 @@ mod tests {
         let mut fs = d2net_topo::FaultSet::new();
         fs.fail_link(0, 1);
         let schedule = FaultSchedule::new().at(40_000, fs);
-        let stats = run_synthetic_faulted(
+        let stats = run(
             &net,
             &policy,
-            &SyntheticPattern::Permutation(vec![1, 0]),
-            &schedule,
-            0.5,
-            160_000,
-            8_000,
+            &Synthetic::new(
+                &SyntheticPattern::Permutation(vec![1, 0]),
+                0.5,
+                160_000,
+                8_000,
+            )
+            .with_faults(&schedule),
             cfg,
+            Observers::default(),
         )
+        .map(|r| r.stats)
         .expect("a partitioned pair still simulates");
         assert!(
             !stats.deadlocked,
@@ -697,17 +686,20 @@ mod tests {
         let mut fs = d2net_topo::FaultSet::new();
         fs.fail_link(0, 1);
         let schedule = FaultSchedule::new().at(30_000, fs);
-        let (stats, report) = run_synthetic_faulted_probed(
+        let (stats, report) = run(
             &net,
             &policy,
-            &SyntheticPattern::Permutation(vec![1, 0]),
-            &schedule,
-            0.5,
-            120_000,
-            8_000,
+            &Synthetic::new(
+                &SyntheticPattern::Permutation(vec![1, 0]),
+                0.5,
+                120_000,
+                8_000,
+            )
+            .with_faults(&schedule),
             cfg,
-            ProbeConfig::default(),
+            Observers::probed(ProbeConfig::default()),
         )
+        .map(|r| (r.stats, r.telemetry.expect("probe was attached")))
         .expect("probed faulted run");
         assert!(stats.dropped_packets > 0);
         let downs: usize = report
@@ -731,16 +723,15 @@ mod tests {
         let mut fs = d2net_topo::FaultSet::new();
         fs.fail_router(victim);
         let schedule = FaultSchedule::new().at(20_000, fs);
-        let stats = run_synthetic_faulted(
+        let stats = run(
             &net,
             &policy,
-            &SyntheticPattern::Uniform,
-            &schedule,
-            0.3,
-            120_000,
-            10_000,
+            &Synthetic::new(&SyntheticPattern::Uniform, 0.3, 120_000, 10_000)
+                .with_faults(&schedule),
             cfg,
+            Observers::default(),
         )
+        .map(|r| r.stats)
         .expect("degraded mlfm remains simulable");
         assert!(!stats.deadlocked);
         assert!(stats.dropped_packets > 0, "orphaned traffic must be dropped");
@@ -755,16 +746,14 @@ mod tests {
         fs.fail_link(10_000, 10_001); // out of range
         fs.fail_link(0, 1); // not necessarily adjacent
         let schedule = FaultSchedule::new().at(20_000, fs);
-        let stats = run_synthetic_faulted(
+        let stats = run(
             &net,
             &policy,
-            &SyntheticPattern::Uniform,
-            &schedule,
-            0.3,
-            60_000,
-            10_000,
+            &Synthetic::new(&SyntheticPattern::Uniform, 0.3, 60_000, 10_000).with_faults(&schedule),
             cfg,
+            Observers::default(),
         )
+        .map(|r| r.stats)
         .expect("invalid fault ids are filtered, not fatal");
         assert!(!stats.deadlocked);
     }
@@ -859,15 +848,9 @@ mod tests {
             ..SimConfig::default()
         };
         let loads = [0.2, 0.4];
-        let serial = load_sweep_collect(
-            &net,
-            &policy,
-            &SyntheticPattern::Uniform,
-            &loads,
-            30_000,
-            6_000,
-            cfg,
-        );
+        let obs = Observers::default();
+        let pattern = SyntheticPattern::Uniform;
+        let serial = sweep(&net, &policy, &pattern, &loads, 30_000, 6_000, cfg, obs, 1);
         assert_eq!(serial.notices.len(), 1);
         assert!(
             serial.notices[0].message.contains("rejected"),
@@ -878,16 +861,7 @@ mod tests {
             .points
             .iter()
             .all(|p| p.stats.deadlocked && p.stats.delivered_packets == 0));
-        let parallel = par_load_sweep_collect(
-            &net,
-            &policy,
-            &SyntheticPattern::Uniform,
-            &loads,
-            30_000,
-            6_000,
-            cfg,
-            2,
-        );
+        let parallel = sweep(&net, &policy, &pattern, &loads, 30_000, 6_000, cfg, obs, 2);
         assert_eq!(serial, parallel, "rejection shape must match serial");
     }
 }

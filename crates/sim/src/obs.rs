@@ -129,7 +129,9 @@ pub struct Event {
     pub fields: Vec<(&'static str, Value)>,
 }
 
-fn escape_into(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a quoted JSON string — the one escaper
+/// behind the event stream and `d2net-core`'s manifest writer.
+pub fn escape_into(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

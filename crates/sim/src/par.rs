@@ -1,37 +1,12 @@
-//! Parallel sweep harness: fan independent simulation points (and whole
-//! curves) across a std-only scoped worker pool.
+//! Thread budgets and the generic curve pool.
 //!
-//! # Determinism
-//!
-//! Every sweep point is seeded by [`crate::sweep::point_seed`] from
-//! `(cfg.seed, index)` alone, so a point's simulated schedule is a pure
-//! function of the request — not of thread interleaving. The early-abort
-//! optimization is made order-independent too: workers publish wedged
-//! indices into an atomic low-watermark and skip indices strictly above
-//! it, and a final pass stubs **every** index above the *minimum*
-//! simulated wedged index. Any index below that minimum was necessarily
-//! simulated (it could never have been above the watermark), so the
-//! minimum equals the serial sweep's first-wedge index and the output is
-//! `==` to [`crate::sweep::load_sweep`]'s, point for point, regardless
-//! of completion order. `tests/determinism.rs` asserts this end to end,
-//! including under random permutations of the work order.
-//!
-//! # Pool
-//!
-//! `std::thread::scope` + an atomic cursor over the job list: no
-//! channels, no new crates, workers borrow the network/policy directly.
-//! Each sweep worker keeps one reusable [`crate::Engine`] (via
-//! `PointRunner`), so per-point allocation cost is paid once per worker.
+//! [`resolve_threads`] turns a thread request into a worker count, and
+//! [`par_curves`] fans whole jobs (one curve, one exchange, one
+//! resilience point) across a std-only scoped pool, returning results in
+//! job order. Sweeps fan their own points through the pool in
+//! [`crate::supervise`]; a caller that fans jobs which themselves shard
+//! divides its budget by [`crate::plan_shards`] first.
 
-use crate::config::SimConfig;
-use crate::ledger::{EngineLedger, LedgerConfig, PointLedger};
-use crate::stats::SyntheticStats;
-use crate::sweep::{PointRunner, SweepNotice, SweepOutcome, SweepPoint};
-use crate::telemetry::{ProbeConfig, TelemetrySummary};
-use crate::trace::{EngineTrace, PointTrace, TraceConfig};
-use d2net_routing::RoutePolicy;
-use d2net_topo::Network;
-use d2net_traffic::SyntheticPattern;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -82,358 +57,6 @@ where
         .into_iter()
         .map(|m| m.into_inner().unwrap().expect("worker completed this job"))
         .collect()
-}
-
-/// [`crate::load_sweep`] fanned across `threads` workers (`0` = auto).
-/// Output is `==` to the serial sweep's, point for point.
-#[allow(clippy::too_many_arguments)]
-pub fn par_load_sweep(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &SyntheticPattern,
-    loads: &[f64],
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-    threads: usize,
-) -> Vec<SweepPoint> {
-    par_load_sweep_collect(net, policy, pattern, loads, duration_ns, warmup_ns, cfg, threads).points
-}
-
-/// [`par_load_sweep`] also returning the structured notices (parallel
-/// sweeps never print; callers route notices into the report layer).
-#[allow(clippy::too_many_arguments)]
-pub fn par_load_sweep_collect(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &SyntheticPattern,
-    loads: &[f64],
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-    threads: usize,
-) -> SweepOutcome {
-    let order: Vec<usize> = (0..loads.len()).collect();
-    par_sweep_core(
-        net, policy, pattern, loads, duration_ns, warmup_ns, cfg, None, None, None, threads,
-        &order,
-    )
-    .0
-}
-
-/// [`crate::load_sweep_probed`] fanned across `threads` workers
-/// (`0` = auto); every simulated point carries its telemetry summary.
-#[allow(clippy::too_many_arguments)]
-pub fn par_load_sweep_probed(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &SyntheticPattern,
-    loads: &[f64],
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-    probe: ProbeConfig,
-    threads: usize,
-) -> Vec<SweepPoint> {
-    par_load_sweep_probed_collect(
-        net, policy, pattern, loads, duration_ns, warmup_ns, cfg, probe, threads,
-    )
-    .points
-}
-
-/// [`par_load_sweep_probed`] also returning the structured notices.
-#[allow(clippy::too_many_arguments)]
-pub fn par_load_sweep_probed_collect(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &SyntheticPattern,
-    loads: &[f64],
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-    probe: ProbeConfig,
-    threads: usize,
-) -> SweepOutcome {
-    let order: Vec<usize> = (0..loads.len()).collect();
-    par_sweep_core(
-        net,
-        policy,
-        pattern,
-        loads,
-        duration_ns,
-        warmup_ns,
-        cfg,
-        Some(probe),
-        None,
-        None,
-        threads,
-        &order,
-    )
-    .0
-}
-
-/// [`crate::load_sweep_traced_collect`] fanned across `threads` workers
-/// (`0` = auto). Per-worker trace buffers are merged by point index, so
-/// the returned traces — and any file exported from them — are
-/// byte-identical to the serial sweep's regardless of thread count or
-/// completion order.
-#[allow(clippy::too_many_arguments)]
-pub fn par_load_sweep_traced_collect(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &SyntheticPattern,
-    loads: &[f64],
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-    trace: TraceConfig,
-    threads: usize,
-) -> (SweepOutcome, Vec<PointTrace>) {
-    let order: Vec<usize> = (0..loads.len()).collect();
-    let (out, traces, _) = par_sweep_core(
-        net,
-        policy,
-        pattern,
-        loads,
-        duration_ns,
-        warmup_ns,
-        cfg,
-        None,
-        Some(trace),
-        None,
-        threads,
-        &order,
-    );
-    (out, traces)
-}
-
-/// [`crate::load_sweep_ledgered_collect`] fanned across `threads`
-/// workers (`0` = auto). Per-worker ledgers are merged by point index,
-/// so the returned ledgers — and any manifest serialized from them —
-/// are byte-identical to the serial sweep's regardless of thread count
-/// or completion order.
-#[allow(clippy::too_many_arguments)]
-pub fn par_load_sweep_ledgered_collect(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &SyntheticPattern,
-    loads: &[f64],
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-    ledger: LedgerConfig,
-    threads: usize,
-) -> (SweepOutcome, Vec<PointLedger>) {
-    let order: Vec<usize> = (0..loads.len()).collect();
-    let (out, _, ledgers) = par_sweep_core(
-        net,
-        policy,
-        pattern,
-        loads,
-        duration_ns,
-        warmup_ns,
-        cfg,
-        None,
-        None,
-        Some(ledger),
-        threads,
-        &order,
-    );
-    (out, ledgers)
-}
-
-/// [`par_load_sweep_collect`] with an explicit work order — the audit
-/// hook for the scheduling-independence property test: `order` is the
-/// sequence in which the pool hands out point indices, and the result
-/// must be identical for every permutation.
-#[allow(clippy::too_many_arguments)]
-pub fn par_load_sweep_with_order(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &SyntheticPattern,
-    loads: &[f64],
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-    threads: usize,
-    order: &[usize],
-) -> SweepOutcome {
-    par_sweep_core(
-        net, policy, pattern, loads, duration_ns, warmup_ns, cfg, None, None, None, threads, order,
-    )
-    .0
-}
-
-#[allow(clippy::too_many_arguments)]
-fn par_sweep_core(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &SyntheticPattern,
-    loads: &[f64],
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-    probe: Option<ProbeConfig>,
-    trace: Option<TraceConfig>,
-    ledger: Option<LedgerConfig>,
-    threads: usize,
-    order: &[usize],
-) -> (SweepOutcome, Vec<PointTrace>, Vec<PointLedger>) {
-    let n = loads.len();
-    assert_eq!(order.len(), n, "work order must cover every point once");
-    debug_assert!({
-        let mut seen = vec![false; n];
-        order.iter().all(|&i| i < n && !std::mem::replace(&mut seen[i], true))
-    });
-    // One static pass covers every load point (verification is
-    // load-independent), exactly as the serial sweep does — including
-    // the shape of a rejected configuration's outcome.
-    let cfg = match crate::engine::try_preflight_once(net, policy, cfg) {
-        Ok(cfg) => cfg,
-        Err(e) => return (crate::sweep::rejected_outcome(loads, e), Vec::new(), Vec::new()),
-    };
-    if let Err(e) = PointRunner::try_new(net, policy, pattern, cfg, duration_ns, warmup_ns) {
-        return (crate::sweep::rejected_outcome(loads, e), Vec::new(), Vec::new());
-    }
-    crate::obs::sweep_started(n);
-    // Each point of a sharded sweep occupies `shards` worker threads of
-    // its own (see `crate::shard`); divide the one budget between
-    // point- and shard-level parallelism instead of oversubscribing.
-    let shards = crate::shard::plan_shards(net, policy, &cfg);
-    let threads = (resolve_threads(threads) / shards).max(1).min(n.max(1));
-    // The last element carries the panic message when the point had to
-    // be isolated — a panicked point's stub reads `deadlocked` but must
-    // neither arm the watermark nor masquerade as a genuine wedge.
-    type Slot = Option<(
-        SyntheticStats,
-        Option<TelemetrySummary>,
-        Option<EngineTrace>,
-        Option<EngineLedger>,
-        Option<String>,
-    )>;
-    let results: Vec<Mutex<Slot>> = (0..n).map(|_| Mutex::new(None)).collect();
-    // Low-watermark of wedged point indices: workers skip indices
-    // strictly above it instead of burning a full simulated horizon on a
-    // point the serial sweep would have stubbed.
-    let watermark = AtomicUsize::new(usize::MAX);
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                let mut runner =
-                    PointRunner::try_new(net, policy, pattern, cfg, duration_ns, warmup_ns)
-                        .expect("validated before spawning workers");
-                loop {
-                    let k = cursor.fetch_add(1, Ordering::Relaxed);
-                    if k >= n {
-                        break;
-                    }
-                    let idx = order[k];
-                    if idx > watermark.load(Ordering::Relaxed) {
-                        continue; // will be stubbed by the final pass
-                    }
-                    let (stats, summary, tr, led, panic_msg) =
-                        match runner.run_point_isolated(idx, loads[idx], probe, trace, ledger) {
-                            Ok((stats, report, tr, led)) => {
-                                (stats, report.map(|r| r.summary()), tr, led, None)
-                            }
-                            Err(msg) => (
-                                SyntheticStats::panicked_stub(loads[idx]),
-                                None,
-                                None,
-                                None,
-                                Some(msg),
-                            ),
-                        };
-                    if stats.deadlocked && panic_msg.is_none() {
-                        watermark.fetch_min(idx, Ordering::Relaxed);
-                    }
-                    *results[idx].lock().unwrap() = Some((stats, summary, tr, led, panic_msg));
-                }
-            });
-        }
-    });
-    // The minimum simulated wedged index: every lower index was
-    // simulated (a skip requires idx > watermark ≥ this minimum), so it
-    // is exactly the serial sweep's first-wedge index.
-    let mut first_wedge: Option<usize> = None;
-    for (idx, slot) in results.iter().enumerate() {
-        if let Some((stats, .., panic_msg)) = slot.lock().unwrap().as_ref() {
-            if stats.deadlocked && panic_msg.is_none() {
-                first_wedge = Some(idx);
-                break;
-            }
-        }
-    }
-    let mut points = Vec::with_capacity(n);
-    let mut traces = Vec::new();
-    let mut ledgers = Vec::new();
-    // Notices are rebuilt in index order during the final pass — one
-    // panicked/exhausted notice per surviving point plus the single
-    // wedge notice — which is exactly the order the serial loop emits
-    // them in, so notices compare `==` across harnesses.
-    let mut notices = Vec::new();
-    let mut acc = crate::obs::SweepAccounting::default();
-    for (idx, slot) in results.into_iter().enumerate() {
-        let load = loads[idx];
-        let stubbed = first_wedge.is_some_and(|w| idx > w);
-        let point = match (stubbed, slot.into_inner().unwrap()) {
-            (false, Some((stats, telemetry, tr, led, panic_msg))) => {
-                // Traces and ledgers from points the serial sweep would
-                // have stubbed (simulated here only by racing ahead of
-                // the watermark) are dropped with their stats; the
-                // survivors are pushed in index order, so the merged
-                // file matches the serial sweep's byte for byte.
-                if let Some(msg) = &panic_msg {
-                    acc.panicked += 1;
-                    notices.push(SweepNotice::panicked(idx, load, msg));
-                    crate::obs::notice(notices.last().unwrap());
-                } else {
-                    if stats.exhausted {
-                        acc.exhausted += 1;
-                        notices.push(SweepNotice::exhausted(idx, load));
-                        crate::obs::notice(notices.last().unwrap());
-                    } else {
-                        acc.completed += 1;
-                    }
-                    if first_wedge == Some(idx) {
-                        notices.push(SweepNotice::wedged(idx, load));
-                        crate::obs::notice(notices.last().unwrap());
-                    }
-                }
-                if let Some(tr) = tr {
-                    traces.push(PointTrace {
-                        index: idx,
-                        load,
-                        trace: tr,
-                    });
-                }
-                if let Some(led) = led {
-                    ledgers.push(PointLedger {
-                        index: idx,
-                        load,
-                        ledger: led,
-                    });
-                }
-                SweepPoint {
-                    load,
-                    stats,
-                    telemetry,
-                }
-            }
-            _ => {
-                acc.stubbed += 1;
-                SweepPoint {
-                    load,
-                    stats: SyntheticStats::deadlocked_stub(load),
-                    telemetry: None,
-                }
-            }
-        };
-        points.push(point);
-    }
-    crate::obs::sweep_finished(&acc);
-    (SweepOutcome { points, notices }, traces, ledgers)
 }
 
 #[cfg(test)]

@@ -23,8 +23,8 @@
 //! Mid-run faults ([`EngineFault`]) are applied at barriers; the
 //! coordinator never opens a window across a fault time.
 //!
-//! One coordinator serves every [`Workload`]: a synthetic run stops at
-//! its horizon, an exchange (`crate::run_exchange*`) drains until every
+//! One coordinator, [`run`], serves every [`Workload`]: a [`Synthetic`]
+//! run stops at its horizon, an [`ExchangeRun`] drains until every
 //! queue and mailbox is empty.
 //!
 //! Every observable output — [`SyntheticStats`], [`ExchangeStats`],
@@ -47,7 +47,7 @@ use crate::telemetry::{ProbeConfig, TelemetryReport};
 use crate::trace::{EngineTrace, TraceConfig};
 use d2net_routing::{Algorithm, RoutePolicy};
 use d2net_topo::Network;
-use d2net_traffic::Exchange;
+use d2net_traffic::{Exchange, SyntheticPattern};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::mpsc;
@@ -66,8 +66,10 @@ use std::sync::mpsc;
 const AUTO_MIN_ROUTERS: u32 = 128;
 
 /// Ceiling on the auto-selected shard count; barrier traffic grows with
-/// the shard count while per-shard work shrinks, and measurements in
-/// `bench_engine` show diminishing returns past this point.
+/// the shard count while per-shard work shrinks. The value is
+/// unmeasured: the only multi-core shard measurements come from a 2-vCPU
+/// VM (1.5–1.8× at 2 shards on an MLFM(h=15) MIN sweep), which cannot
+/// show where returns diminish.
 const AUTO_MAX_SHARDS: usize = 8;
 
 /// The requested shard count before correctness clamps: an explicit
@@ -96,7 +98,7 @@ pub fn plan_shards(net: &Network, policy: &RoutePolicy, cfg: &SimConfig) -> usiz
     effective_shards(net, policy, cfg, false)
 }
 
-/// The shard count every run resolves through [`run_sharded_inner`]:
+/// The shard count every run resolves through [`run`]:
 /// the request from [`requested_shards`] (auto stays serial below
 /// [`AUTO_MIN_ROUTERS`]), clamped to the router count, and forced to 1
 /// where sharding cannot reproduce serial — the heap queue, global
@@ -287,20 +289,34 @@ fn collect_replies(
     exhausted
 }
 
-/// What one run simulates. The window-barrier coordinator in
-/// [`run_sharded_inner`] is shared by every workload; a workload only
-/// says how an engine's node sources are built, where the run stops,
-/// and how the finished engine is turned into statistics.
-pub(crate) trait Workload {
+mod sealed {
+    pub trait Sealed {}
+}
+
+/// What one [`run`] simulates: [`Synthetic`] traffic to a horizon or an
+/// [`ExchangeRun`] drained to completion. The window-barrier coordinator
+/// is shared by every workload; a workload only says how an engine's
+/// node sources are built, where the run stops, and how the finished
+/// engine is turned into statistics. Sealed: the two spec types are the
+/// only implementations.
+pub trait Workload: sealed::Sealed {
+    /// What a finished run reports.
     type Stats;
+    /// Rejects a spec that cannot run on `net` (before any engine is built).
+    #[doc(hidden)]
+    fn check(&self, net: &Network) -> Result<(), String>;
     /// `Some(end_ps)`: events past the horizon stay unprocessed (a
     /// steady-state run). `None`: run until every queue and mailbox is
     /// empty (an exchange drains to completion).
+    #[doc(hidden)]
     fn horizon_ps(&self) -> Option<u64>;
+    #[doc(hidden)]
     fn warmup_ps(&self) -> u64;
+    #[doc(hidden)]
     fn schedule(&self) -> Option<&FaultSchedule>;
     /// One source per node for an engine owning routers `[lo, hi)`,
     /// drawn from the run's identically seeded master RNG.
+    #[doc(hidden)]
     fn sources(
         &self,
         net: &Network,
@@ -310,35 +326,75 @@ pub(crate) trait Workload {
         hi: u32,
     ) -> Vec<NodeSource>;
     /// The unsharded run on a fully built engine.
+    #[doc(hidden)]
     fn run_serial(&self, eng: &mut Engine) -> (Self::Stats, Option<TelemetryReport>);
     /// Statistics of a sharded run's merged engine (also finalizes its
     /// trace and ledger).
+    #[doc(hidden)]
     fn stats(&self, eng: &mut Engine, wedged: bool) -> Self::Stats;
 }
 
-/// Steady-state synthetic traffic to a horizon, optionally under a
-/// mid-run fault schedule.
-pub(crate) struct Synthetic<'w> {
-    pub pattern: &'w d2net_traffic::SyntheticPattern,
-    pub schedule: Option<&'w FaultSchedule>,
+/// Steady-state synthetic traffic: `load` is the per-node offered load
+/// as a fraction of link bandwidth, simulated for `duration_ns` with
+/// statistics collected after `warmup_ns` (paper §4.1: 200 µs with a
+/// 20 µs warm-up). Under `faults`, each event's failures fire at their
+/// simulated time with drain-or-drop semantics, and injections from then
+/// on route with a policy repaired around the cumulative degradation
+/// ([`d2net_routing::RoutePolicy::repair`]); unroutable traffic retries
+/// at the source with exponential backoff before being dropped.
+#[derive(Debug, Clone, Copy)]
+pub struct Synthetic<'w> {
+    pub pattern: &'w SyntheticPattern,
     pub load: f64,
-    pub end_ps: u64,
-    pub warmup_ps: u64,
+    pub duration_ns: u64,
+    pub warmup_ns: u64,
+    pub faults: Option<&'w FaultSchedule>,
 }
+
+impl<'w> Synthetic<'w> {
+    /// A fault-free synthetic run.
+    pub fn new(pattern: &'w SyntheticPattern, load: f64, duration_ns: u64, warmup_ns: u64) -> Self {
+        Synthetic {
+            pattern,
+            load,
+            duration_ns,
+            warmup_ns,
+            faults: None,
+        }
+    }
+
+    /// The same run under a mid-run fault schedule.
+    pub fn with_faults(self, faults: &'w FaultSchedule) -> Self {
+        Synthetic {
+            faults: Some(faults),
+            ..self
+        }
+    }
+
+    fn end_ps(&self) -> u64 {
+        self.duration_ns * 1_000
+    }
+}
+
+impl sealed::Sealed for Synthetic<'_> {}
 
 impl Workload for Synthetic<'_> {
     type Stats = SyntheticStats;
 
+    fn check(&self, _net: &Network) -> Result<(), String> {
+        d2net_verify::invariant::warmup_within(self.warmup_ns, self.duration_ns)
+    }
+
     fn horizon_ps(&self) -> Option<u64> {
-        Some(self.end_ps)
+        Some(self.end_ps())
     }
 
     fn warmup_ps(&self) -> u64 {
-        self.warmup_ps
+        self.warmup_ns * 1_000
     }
 
     fn schedule(&self) -> Option<&FaultSchedule> {
-        self.schedule
+        self.faults
     }
 
     /// Every shard builds every node's source: each draws its random
@@ -352,28 +408,42 @@ impl Workload for Synthetic<'_> {
         _lo: u32,
         _hi: u32,
     ) -> Vec<NodeSource> {
-        synthetic_sources(net, self.pattern, self.load, self.end_ps, cfg, rng)
+        synthetic_sources(net, self.pattern, self.load, self.end_ps(), cfg, rng)
     }
 
     fn run_serial(&self, eng: &mut Engine) -> (SyntheticStats, Option<TelemetryReport>) {
-        eng.run_synthetic_to(self.load, self.end_ps)
+        eng.run_synthetic_to(self.load, self.end_ps())
     }
 
     fn stats(&self, eng: &mut Engine, wedged: bool) -> SyntheticStats {
-        eng.synthetic_stats(self.load, self.end_ps, wedged)
+        eng.synthetic_stats(self.load, self.end_ps(), wedged)
     }
 }
 
-/// A fixed-size collective exchange drained to completion.
-pub(crate) struct ExchangeRun<'w> {
+/// A fixed-size collective exchange run to completion; `window` is the
+/// number of messages each node keeps in flight (1 = fully staged).
+#[derive(Debug, Clone, Copy)]
+pub struct ExchangeRun<'w> {
     pub exchange: &'w Exchange,
-    /// Messages each node keeps in flight.
     pub window: usize,
-    pub total_bytes: u64,
 }
+
+impl sealed::Sealed for ExchangeRun<'_> {}
 
 impl Workload for ExchangeRun<'_> {
     type Stats = ExchangeStats;
+
+    fn check(&self, net: &Network) -> Result<(), String> {
+        if self.exchange.sends.len() == net.num_nodes() as usize {
+            Ok(())
+        } else {
+            Err(format!(
+                "exchange pattern must cover every node ({} send lists, {} nodes)",
+                self.exchange.sends.len(),
+                net.num_nodes()
+            ))
+        }
+    }
 
     fn horizon_ps(&self) -> Option<u64> {
         None
@@ -410,38 +480,116 @@ impl Workload for ExchangeRun<'_> {
     }
 
     fn run_serial(&self, eng: &mut Engine) -> (ExchangeStats, Option<TelemetryReport>) {
-        eng.run_exchange_to(self.total_bytes)
+        eng.run_exchange_to(self.exchange.total_bytes())
     }
 
     fn stats(&self, eng: &mut Engine, wedged: bool) -> ExchangeStats {
-        eng.exchange_stats(self.total_bytes, wedged)
+        eng.exchange_stats(self.exchange.total_bytes(), wedged)
     }
 }
 
-/// The one run core for every workload: resolves the shard count,
-/// falls back to the serial engine at `k = 1`, and otherwise runs the
-/// window-barrier protocol, absorbing every shard into one engine for
-/// the ordinary finalization path. Called by every
-/// `run_synthetic_sharded*` and `run_exchange*` entry point and the
-/// sweeps' `PointRunner`.
-#[allow(clippy::type_complexity)]
-pub(crate) fn run_sharded_inner<W: Workload>(
+/// The observers attached to a run, or to every simulated point of a
+/// sweep. Each is optional, and none perturbs the simulated schedule:
+/// stats are byte-identical with any combination attached.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Observers {
+    /// Telemetry probe: utilization/occupancy series, per-router event
+    /// rings and deadlock forensics (see [`crate::telemetry`]).
+    pub probe: Option<ProbeConfig>,
+    /// Flight trace and hot-loop counters (see [`crate::trace`]).
+    pub trace: Option<TraceConfig>,
+    /// Routing-decision ledger (see [`crate::ledger`]).
+    pub ledger: Option<LedgerConfig>,
+}
+
+impl Observers {
+    /// Just a telemetry probe.
+    pub fn probed(probe: ProbeConfig) -> Self {
+        Observers {
+            probe: Some(probe),
+            ..Self::default()
+        }
+    }
+
+    /// Just a trace recorder.
+    pub fn traced(trace: TraceConfig) -> Self {
+        Observers {
+            trace: Some(trace),
+            ..Self::default()
+        }
+    }
+
+    /// Just a decision ledger.
+    pub fn ledgered(ledger: LedgerConfig) -> Self {
+        Observers {
+            ledger: Some(ledger),
+            ..Self::default()
+        }
+    }
+
+    pub(crate) fn attach(&self, eng: &mut Engine) {
+        if let Some(p) = self.probe {
+            eng.attach_probe(p);
+        }
+        if let Some(t) = self.trace {
+            eng.attach_trace(t);
+        }
+        if let Some(l) = self.ledger {
+            eng.attach_ledger(l);
+        }
+    }
+}
+
+/// What one [`run`] produced: the workload's statistics plus the output
+/// of each attached observer (`None` where none was attached).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Run<S> {
+    pub stats: S,
+    pub telemetry: Option<TelemetryReport>,
+    pub trace: Option<EngineTrace>,
+    pub ledger: Option<EngineLedger>,
+}
+
+impl<S> Run<S> {
+    /// Finalizes an engine whose run produced `stats`: takes the trace
+    /// and ledger it carried.
+    pub(crate) fn from_engine(
+        stats: S,
+        telemetry: Option<TelemetryReport>,
+        eng: &mut Engine,
+    ) -> Self {
+        Run {
+            stats,
+            telemetry,
+            trace: eng.take_trace(),
+            ledger: eng.take_ledger(),
+        }
+    }
+}
+
+/// Runs one workload on `net` under `policy` — the one run core behind
+/// every single run and every sweep point.
+///
+/// The shard count comes from [`SimConfig::shards`], then
+/// `D2NET_SHARDS`, then the auto heuristic (see [`plan_shards`]);
+/// `cfg.shards = 1` is the serial reference, and the output is
+/// byte-identical at every count. At one shard the run is the plain
+/// serial engine; otherwise it runs the window-barrier protocol and
+/// absorbs every shard into one engine for the ordinary finalization
+/// path.
+///
+/// Configuration problems come back as `Err`: warm-up ≥ duration,
+/// buffers too small for the policy's VCs, a [`crate::Preflight::Enforce`]
+/// rejection, an unsorted fault schedule, or an exchange that does not
+/// give every node a send list.
+pub fn run<W: Workload>(
     net: &Network,
     policy: &RoutePolicy,
     work: &W,
     cfg: SimConfig,
-    probe: Option<ProbeConfig>,
-    trace: Option<TraceConfig>,
-    ledger: Option<LedgerConfig>,
-) -> Result<
-    (
-        W::Stats,
-        Option<TelemetryReport>,
-        Option<EngineTrace>,
-        Option<EngineLedger>,
-    ),
-    String,
-> {
+    obs: Observers,
+) -> Result<Run<W::Stats>, String> {
+    work.check(net)?;
     let schedule = work.schedule();
     let horizon = work.horizon_ps();
     let policies = schedule
@@ -459,17 +607,9 @@ pub(crate) fn run_sharded_inner<W: Workload>(
         let sources = work.sources(net, &cfg, &mut rng, 0, net.num_routers());
         let mut eng =
             Engine::try_new_faulted(net, policy, cfg, sources, work.warmup_ps(), rng, faults)?;
-        if let Some(p) = probe {
-            eng.attach_probe(p);
-        }
-        if let Some(t) = trace {
-            eng.attach_trace(t);
-        }
-        if let Some(l) = ledger {
-            eng.attach_ledger(l);
-        }
+        obs.attach(&mut eng);
         let (stats, tel) = work.run_serial(&mut eng);
-        return Ok((stats, tel, eng.take_trace(), eng.take_ledger()));
+        return Ok(Run::from_engine(stats, tel, &mut eng));
     }
 
     // The static preflight pass is shard-independent; run it once here
@@ -511,15 +651,7 @@ pub(crate) fn run_sharded_inner<W: Workload>(
             hi,
             i == 0,
         )?;
-        if let Some(p) = probe {
-            eng.attach_probe(p);
-        }
-        if let Some(t) = trace {
-            eng.attach_trace(t);
-        }
-        if let Some(l) = ledger {
-            eng.attach_ledger(l);
-        }
+        obs.attach(&mut eng);
         engines.push(eng);
     }
 
@@ -681,147 +813,84 @@ pub(crate) fn run_sharded_inner<W: Workload>(
     }
     let telemetry = first.take_probe_report_with(forensics);
     let stats = work.stats(first, wedged);
-    Ok((stats, telemetry, first.take_trace(), first.take_ledger()))
+    Ok(Run::from_engine(stats, telemetry, first))
 }
 
-/// Validates the measurement window and builds the synthetic workload
-/// in engine units — the public entry points' shared prologue.
-fn synthetic<'w>(
-    pattern: &'w d2net_traffic::SyntheticPattern,
-    schedule: Option<&'w FaultSchedule>,
-    load: f64,
-    duration_ns: u64,
-    warmup_ns: u64,
-) -> Result<Synthetic<'w>, String> {
-    d2net_verify::invariant::warmup_within(warmup_ns, duration_ns)?;
-    Ok(Synthetic {
-        pattern,
-        schedule,
-        load,
-        end_ps: duration_ns * 1_000,
-        warmup_ps: warmup_ns * 1_000,
-    })
-}
-
-/// Sharded equivalent of [`crate::run_synthetic`]: identical output for
-/// every shard count (see the module docs), faster wall-clock on large
-/// networks. The shard count comes from [`SimConfig::shards`] /
-/// `D2NET_SHARDS` / the auto heuristic, via [`plan_shards`].
-pub fn run_synthetic_sharded(
+/// Runs steady-state synthetic traffic on `net` under `policy`: [`run`]
+/// of a fault-free [`Synthetic`] with no observers, panicking on a
+/// configuration error.
+pub fn run_synthetic(
     net: &Network,
     policy: &RoutePolicy,
-    pattern: &d2net_traffic::SyntheticPattern,
+    pattern: &SyntheticPattern,
     load: f64,
     duration_ns: u64,
     warmup_ns: u64,
     cfg: SimConfig,
 ) -> SyntheticStats {
-    let work =
-        synthetic(pattern, None, load, duration_ns, warmup_ns).unwrap_or_else(|e| panic!("{e}"));
-    run_sharded_inner(net, policy, &work, cfg, None, None, None)
+    let work = Synthetic::new(pattern, load, duration_ns, warmup_ns);
+    run(net, policy, &work, cfg, Observers::default())
         .unwrap_or_else(|e| panic!("{e}"))
-        .0
+        .stats
 }
 
-/// Sharded equivalent of [`crate::run_synthetic_probed`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_synthetic_sharded_probed(
+/// Runs a fixed-size exchange to completion: [`run`] of an
+/// [`ExchangeRun`] with no observers, panicking on a configuration
+/// error.
+pub fn run_exchange(
     net: &Network,
     policy: &RoutePolicy,
-    pattern: &d2net_traffic::SyntheticPattern,
-    load: f64,
-    duration_ns: u64,
-    warmup_ns: u64,
+    exchange: &Exchange,
+    window: usize,
     cfg: SimConfig,
-    probe: ProbeConfig,
-) -> (SyntheticStats, TelemetryReport) {
-    let work =
-        synthetic(pattern, None, load, duration_ns, warmup_ns).unwrap_or_else(|e| panic!("{e}"));
-    let (stats, tel, _, _) = run_sharded_inner(net, policy, &work, cfg, Some(probe), None, None)
-        .unwrap_or_else(|e| panic!("{e}"));
-    (stats, tel.expect("probe was attached"))
+) -> ExchangeStats {
+    let work = ExchangeRun { exchange, window };
+    run(net, policy, &work, cfg, Observers::default())
+        .unwrap_or_else(|e| panic!("{e}"))
+        .stats
 }
 
-/// Sharded equivalent of [`crate::run_synthetic_traced`].
+/// [`run_synthetic`] with a trace recorder attached. Kept only because
+/// the `perfbench` benchmark calls it; it goes when the benchmark
+/// migrates to [`run`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_synthetic_sharded_traced(
     net: &Network,
     policy: &RoutePolicy,
-    pattern: &d2net_traffic::SyntheticPattern,
+    pattern: &SyntheticPattern,
     load: f64,
     duration_ns: u64,
     warmup_ns: u64,
     cfg: SimConfig,
-    tcfg: TraceConfig,
+    trace: TraceConfig,
 ) -> (SyntheticStats, EngineTrace) {
-    let work =
-        synthetic(pattern, None, load, duration_ns, warmup_ns).unwrap_or_else(|e| panic!("{e}"));
-    let (stats, _, trace, _) = run_sharded_inner(net, policy, &work, cfg, None, Some(tcfg), None)
-        .unwrap_or_else(|e| panic!("{e}"));
-    (stats, trace.expect("trace was attached"))
+    let work = Synthetic::new(pattern, load, duration_ns, warmup_ns);
+    let out =
+        run(net, policy, &work, cfg, Observers::traced(trace)).unwrap_or_else(|e| panic!("{e}"));
+    (out.stats, out.trace.expect("trace was attached"))
 }
 
-/// Sharded equivalent of [`crate::run_synthetic_ledgered`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_synthetic_sharded_ledgered(
+/// [`run_exchange`] with a trace recorder attached. Kept only because
+/// the `perfbench` benchmark calls it; it goes when the benchmark
+/// migrates to [`run`].
+pub fn run_exchange_traced(
     net: &Network,
     policy: &RoutePolicy,
-    pattern: &d2net_traffic::SyntheticPattern,
-    load: f64,
-    duration_ns: u64,
-    warmup_ns: u64,
+    exchange: &Exchange,
+    window: usize,
     cfg: SimConfig,
-    lcfg: LedgerConfig,
-) -> (SyntheticStats, EngineLedger) {
-    let work =
-        synthetic(pattern, None, load, duration_ns, warmup_ns).unwrap_or_else(|e| panic!("{e}"));
-    let (stats, _, _, ledger) = run_sharded_inner(net, policy, &work, cfg, None, None, Some(lcfg))
-        .unwrap_or_else(|e| panic!("{e}"));
-    (stats, ledger.expect("ledger was attached"))
-}
-
-/// Sharded equivalent of [`crate::run_synthetic_faulted`]. The fault
-/// schedule threads through window barriers; a schedule with an event
-/// at `t = 0` falls back to serial (see [`plan_shards`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_synthetic_sharded_faulted(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &d2net_traffic::SyntheticPattern,
-    schedule: &FaultSchedule,
-    load: f64,
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-) -> Result<SyntheticStats, String> {
-    let work = synthetic(pattern, Some(schedule), load, duration_ns, warmup_ns)?;
-    run_sharded_inner(net, policy, &work, cfg, None, None, None).map(|(stats, _, _, _)| stats)
-}
-
-/// Sharded equivalent of [`crate::run_synthetic_faulted_probed`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_synthetic_sharded_faulted_probed(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &d2net_traffic::SyntheticPattern,
-    schedule: &FaultSchedule,
-    load: f64,
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-    probe: ProbeConfig,
-) -> Result<(SyntheticStats, TelemetryReport), String> {
-    let work = synthetic(pattern, Some(schedule), load, duration_ns, warmup_ns)?;
-    run_sharded_inner(net, policy, &work, cfg, Some(probe), None, None)
-        .map(|(stats, tel, _, _)| (stats, tel.expect("probe was attached")))
+    trace: TraceConfig,
+) -> (ExchangeStats, EngineTrace) {
+    let work = ExchangeRun { exchange, window };
+    let out =
+        run(net, policy, &work, cfg, Observers::traced(trace)).unwrap_or_else(|e| panic!("{e}"));
+    (out.stats, out.trace.expect("trace was attached"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_synthetic;
     use d2net_topo::slim_fly;
-    use d2net_traffic::SyntheticPattern;
 
     fn cfg_with(shards: u32) -> SimConfig {
         SimConfig {
@@ -852,8 +921,7 @@ mod tests {
         let pattern = SyntheticPattern::Uniform;
         let serial = run_synthetic(&net, &policy, &pattern, 0.3, 6_000, 1_000, cfg_with(1));
         for k in [2u32, 3, 5] {
-            let sharded =
-                run_synthetic_sharded(&net, &policy, &pattern, 0.3, 6_000, 1_000, cfg_with(k));
+            let sharded = run_synthetic(&net, &policy, &pattern, 0.3, 6_000, 1_000, cfg_with(k));
             assert_eq!(sharded, serial, "shard count {k} diverged");
         }
     }
@@ -876,7 +944,15 @@ mod tests {
                 ..cfg_with(2)
             };
             let run = std::panic::catch_unwind(|| {
-                run_synthetic_sharded(&net, &policy, &SyntheticPattern::Uniform, 0.5, 6_000, 0, cfg)
+                run_synthetic(
+                    &net,
+                    &policy,
+                    &SyntheticPattern::Uniform,
+                    0.5,
+                    6_000,
+                    0,
+                    cfg,
+                )
             });
             let _ = tx.send(run.is_err());
         });

@@ -46,8 +46,8 @@ pub struct SyntheticStats {
 impl SyntheticStats {
     /// A placeholder for a load point that was skipped because a lower
     /// load already wedged the network: all measurements zero,
-    /// `deadlocked` set. Used by [`crate::sweep::load_sweep`]'s
-    /// early-abort path.
+    /// `deadlocked` set. Used by [`crate::sweep()`]'s early-abort
+    /// path.
     pub fn deadlocked_stub(load: f64) -> Self {
         SyntheticStats {
             offered_load: load,

@@ -1,9 +1,10 @@
-//! Supervised sweeps: a fault-tolerant harness over the parallel sweep
-//! pool.
+//! Supervised sweeps, and the one sweep pool every sweep runs on.
 //!
-//! The plain sweeps ([`crate::sweep`], [`crate::par`]) already isolate a
-//! panicking point into a coded stub; this module adds the *supervisor*
-//! around them: deterministic seeded **retries** for points that fail
+//! The pool fans the points of one sweep across scoped workers, each
+//! with a reusable [`PointRunner`], and isolates a panicking point into
+//! a coded stub; the plain [`crate::sweep()`] is the pool with no
+//! supervision. The *supervisor* adds deterministic seeded **retries**
+//! for points that fail
 //! (panic or budget exhaustion), a seeded **chaos registry** that
 //! injects panics and stalls inside the engine so the supervisor is
 //! itself testable, per-point **completion hooks** (the durable journal
@@ -14,16 +15,20 @@
 //! # Determinism contract
 //!
 //! With chaos disabled and no budget configured, a supervised sweep is
-//! `==` to [`crate::par::par_load_sweep_collect`] (and therefore to the
-//! serial sweep) — points, notices, everything. Every point retries
+//! `==` to [`crate::sweep()`] at any thread count — points, notices,
+//! traces, ledgers, everything. Every point retries
 //! from the *same* index-derived seed, so a point that succeeds on a
 //! retry is byte-identical to one that never failed; chaos decisions
 //! are a pure function of `(chaos seed, point seed, attempt)`, so a
 //! chaos run is reproducible end to end.
 
 use crate::config::{ChaosKind, EngineChaos, SimConfig};
+use crate::ledger::{EngineLedger, PointLedger};
+use crate::shard::{Observers, Synthetic};
 use crate::stats::SyntheticStats;
 use crate::sweep::{point_seed, PointRunner, SweepNotice, SweepOutcome, SweepPoint};
+use crate::telemetry::TelemetrySummary;
+use crate::trace::{EngineTrace, PointTrace};
 use d2net_routing::RoutePolicy;
 use d2net_topo::Network;
 use d2net_traffic::SyntheticPattern;
@@ -236,8 +241,7 @@ pub struct SuperviseHooks<'h> {
     pub on_point: Option<OnPointHook<'h>>,
 }
 
-/// How one supervised slot ended — drives notices and accounting in the
-/// final pass.
+/// How one slot ended — drives notices and accounting in the final pass.
 enum SlotFate {
     /// Simulated to a real result this run, after `retries` retries.
     Fresh { retries: u32 },
@@ -250,38 +254,31 @@ enum SlotFate {
     Panicked { msg: String },
 }
 
-/// [`crate::par::par_load_sweep_collect`] under supervision: panics
-/// isolated, budgets enforced, failing points retried with seeded
-/// backoff, and the outcome annotated with a [`SupervisionSummary`].
-#[allow(clippy::too_many_arguments)]
-pub fn supervised_load_sweep_collect(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &SyntheticPattern,
-    loads: &[f64],
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-    sup: &SuperviseConfig,
-) -> SupervisedSweep {
-    supervised_load_sweep_hooked(
-        net,
-        policy,
-        pattern,
-        loads,
-        duration_ns,
-        warmup_ns,
-        cfg,
-        sup,
-        &SuperviseHooks::default(),
-    )
+/// One point's result as the pool holds it until the final pass.
+struct Slot {
+    stats: SyntheticStats,
+    telemetry: Option<TelemetrySummary>,
+    trace: Option<EngineTrace>,
+    ledger: Option<EngineLedger>,
+    fate: SlotFate,
 }
 
-/// The full supervised sweep: [`supervised_load_sweep_collect`] plus
-/// resume prefill, a cooperative stop signal, and a per-point
-/// completion hook (see [`SuperviseHooks`]).
+impl Slot {
+    /// A genuine wedge (fresh or resumed) — not a panicked stub, which
+    /// also reads `deadlocked` but is an isolated fault, not evidence
+    /// the network deadlocks at every higher load.
+    fn wedged(&self) -> bool {
+        self.stats.deadlocked && !matches!(self.fate, SlotFate::Panicked { .. })
+    }
+}
+
+/// [`crate::sweep()`] under supervision: panics isolated, budgets
+/// enforced, failing points retried with seeded backoff, resume
+/// prefill, a cooperative stop signal and a per-point completion hook
+/// (see [`SuperviseHooks`]), and the outcome annotated with a
+/// [`SupervisionSummary`]. Threads come from [`SuperviseConfig::threads`].
 #[allow(clippy::too_many_arguments)]
-pub fn supervised_load_sweep_hooked(
+pub fn supervised_sweep(
     net: &Network,
     policy: &RoutePolicy,
     pattern: &SyntheticPattern,
@@ -289,35 +286,70 @@ pub fn supervised_load_sweep_hooked(
     duration_ns: u64,
     warmup_ns: u64,
     cfg: SimConfig,
+    obs: Observers,
     sup: &SuperviseConfig,
     hooks: &SuperviseHooks<'_>,
 ) -> SupervisedSweep {
+    let order: Vec<usize> = (0..loads.len()).collect();
+    let spec = Synthetic::new(pattern, 0.0, duration_ns, warmup_ns);
+    pool(net, policy, spec, loads, cfg, obs, sup, hooks, &order)
+}
+
+/// The one sweep pool: workers claim point indices in `order` from an
+/// atomic cursor, skip indices above the lowest wedged index seen so far
+/// (a watermark), and a final pass in index order stubs every point
+/// above the first genuine wedge and rebuilds the notices. Any index
+/// below that first wedge was necessarily simulated (it could never
+/// have been above the watermark), so the outcome equals a serial
+/// in-order loop's regardless of thread count or completion order.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn pool(
+    net: &Network,
+    policy: &RoutePolicy,
+    spec: Synthetic<'_>,
+    loads: &[f64],
+    cfg: SimConfig,
+    obs: Observers,
+    sup: &SuperviseConfig,
+    hooks: &SuperviseHooks<'_>,
+    order: &[usize],
+) -> SupervisedSweep {
     let n = loads.len();
+    assert_eq!(order.len(), n, "work order must cover every point once");
+    debug_assert!({
+        let mut seen = vec![false; n];
+        order
+            .iter()
+            .all(|&i| i < n && !std::mem::replace(&mut seen[i], true))
+    });
     if let Some(pre) = hooks.prefilled {
         assert_eq!(pre.len(), n, "prefill must cover every point");
     }
+    // One static pass covers every load point: verification is
+    // load-independent, so the per-point configs run with it disabled.
+    let rejected = |e| SupervisedSweep {
+        outcome: crate::sweep::rejected_outcome(loads, e),
+        summary: SupervisionSummary::default(),
+    };
     let cfg = match crate::engine::try_preflight_once(net, policy, cfg) {
         Ok(cfg) => cfg,
-        Err(e) => {
-            return SupervisedSweep {
-                outcome: crate::sweep::rejected_outcome(loads, e),
-                summary: SupervisionSummary::default(),
-            }
-        }
+        Err(e) => return rejected(e),
     };
-    if let Err(e) = PointRunner::try_new(net, policy, pattern, cfg, duration_ns, warmup_ns) {
-        return SupervisedSweep {
-            outcome: crate::sweep::rejected_outcome(loads, e),
-            summary: SupervisionSummary::default(),
-        };
+    if let Err(e) = PointRunner::try_new(net, policy, spec, cfg) {
+        return rejected(e);
     }
     crate::obs::sweep_started(n);
+    // Each point of a sharded sweep occupies `shards` threads of its
+    // own (see `crate::shard`); divide the one budget between point-
+    // and shard-level parallelism instead of oversubscribing.
     let shards = crate::shard::plan_shards(net, policy, &cfg);
     let threads = (crate::par::resolve_threads(sup.threads) / shards)
         .max(1)
         .min(n.max(1));
-    type Slot = Option<(SyntheticStats, SlotFate)>;
-    let results: Vec<Mutex<Slot>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let results: Vec<Mutex<Option<Slot>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    // Low-watermark of wedged point indices: workers skip indices
+    // strictly above it instead of burning a full simulated horizon on a
+    // point the final pass stubs anyway.
     let watermark = AtomicUsize::new(usize::MAX);
     // Replay the prefill before any worker starts: resumed wedges arm
     // the watermark exactly like freshly simulated ones.
@@ -327,121 +359,116 @@ pub fn supervised_load_sweep_hooked(
                 if stats.deadlocked {
                     watermark.fetch_min(idx, Ordering::Relaxed);
                 }
-                *results[idx].lock().unwrap() = Some((stats.clone(), SlotFate::Resumed));
+                *results[idx].lock().unwrap() = Some(Slot {
+                    stats: stats.clone(),
+                    telemetry: None,
+                    trace: None,
+                    ledger: None,
+                    fate: SlotFate::Resumed,
+                });
             }
         }
     }
     let cursor = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                let mut runner =
-                    PointRunner::try_new(net, policy, pattern, cfg, duration_ns, warmup_ns)
-                        .expect("validated before spawning workers");
-                loop {
-                    if hooks.stop.is_some_and(|stop| stop()) {
-                        break;
-                    }
-                    let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                    if idx >= n {
-                        break;
-                    }
-                    if results[idx].lock().unwrap().is_some() {
-                        continue; // prefilled by the resume journal
-                    }
-                    if idx > watermark.load(Ordering::Relaxed) {
-                        continue; // will be stubbed by the final pass
-                    }
-                    let load = loads[idx];
-                    let pseed = point_seed(cfg.seed, idx);
-                    let (stats, fate) = run_supervised_point(
-                        &mut runner,
-                        idx,
-                        load,
-                        pseed,
-                        sup,
-                    );
-                    if stats.deadlocked && matches!(fate, SlotFate::Fresh { .. }) {
-                        watermark.fetch_min(idx, Ordering::Relaxed);
-                    }
-                    if let (Some(hook), SlotFate::Fresh { .. }) = (hooks.on_point, &fate) {
-                        hook(idx, &stats);
-                    }
-                    *results[idx].lock().unwrap() = Some((stats, fate));
-                }
-            });
-        }
-    });
-    // Minimum genuinely wedged index (fresh or resumed) — identical to
-    // the serial sweep's first-wedge index, as in `crate::par`.
-    let mut first_wedge: Option<usize> = None;
-    for (idx, slot) in results.iter().enumerate() {
-        if let Some((stats, fate)) = slot.lock().unwrap().as_ref() {
-            if stats.deadlocked && !matches!(fate, SlotFate::Panicked { .. }) {
-                first_wedge = Some(idx);
+    let worker = || {
+        let mut runner = PointRunner::try_new(net, policy, spec, cfg)
+            .expect("validated before spawning workers");
+        loop {
+            if hooks.stop.is_some_and(|stop| stop()) {
                 break;
             }
+            let k = cursor.fetch_add(1, Ordering::Relaxed);
+            if k >= n {
+                break;
+            }
+            let idx = order[k];
+            if results[idx].lock().unwrap().is_some() {
+                continue; // prefilled by the resume journal
+            }
+            if idx > watermark.load(Ordering::Relaxed) {
+                continue; // will be stubbed by the final pass
+            }
+            let slot = run_supervised_point(&mut runner, idx, loads[idx], cfg.seed, obs, sup);
+            if slot.wedged() {
+                watermark.fetch_min(idx, Ordering::Relaxed);
+            }
+            if let (Some(hook), SlotFate::Fresh { .. }) = (hooks.on_point, &slot.fate) {
+                hook(idx, &slot.stats);
+            }
+            *results[idx].lock().unwrap() = Some(slot);
         }
-    }
-    let mut points = Vec::with_capacity(n);
+    };
+    // Even a lone worker gets a thread of its own: running it on the
+    // calling thread raised `perfbench` `coral_sweep` (1 worker × 2
+    // shards) peak RSS from 150–155 MB to 182–202 MB, results unchanged.
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            s.spawn(worker);
+        }
+    });
+    let first_wedge = results
+        .iter()
+        .position(|slot| slot.lock().unwrap().as_ref().is_some_and(Slot::wedged));
+    let mut outcome = SweepOutcome {
+        points: Vec::with_capacity(n),
+        notices: Vec::new(),
+        traces: Vec::new(),
+        ledgers: Vec::new(),
+    };
     let mut notices = Vec::new();
+    let mut note = |notice: SweepNotice| {
+        crate::obs::notice(&notice);
+        notices.push(notice);
+    };
     let mut summary = SupervisionSummary::default();
     let mut stub_count: u64 = 0;
+    // Notices are rebuilt here in index order — one fate notice per
+    // surviving point plus the single wedge notice — so they compare
+    // `==` at every thread count. Traces and ledgers of points simulated
+    // only by racing ahead of the watermark are dropped with their stats.
     for (idx, slot) in results.into_iter().enumerate() {
         let load = loads[idx];
         let stubbed = first_wedge.is_some_and(|w| idx > w);
         let point = match (stubbed, slot.into_inner().unwrap()) {
-            (false, Some((stats, fate))) => {
-                match &fate {
+            (false, Some(slot)) => {
+                match slot.fate {
                     SlotFate::Fresh { retries } => {
                         summary.completed += 1;
-                        if *retries > 0 {
+                        if retries > 0 {
                             summary.retried += 1;
                         }
                     }
                     SlotFate::Resumed => summary.skipped_by_resume += 1,
                     SlotFate::Exhausted => {
                         summary.exhausted += 1;
-                        notices.push(SweepNotice::new(
-                            "exhausted",
-                            idx,
-                            load,
-                            format!(
-                                "run budget exhausted at offered load {load:.3}; \
-                                 partial measurements kept"
-                            ),
-                        ));
-                        crate::obs::notice(notices.last().unwrap());
+                        note(SweepNotice::exhausted(idx, load));
                     }
                     SlotFate::Panicked { msg } => {
                         summary.panicked += 1;
-                        notices.push(SweepNotice::new(
-                            "panicked",
-                            idx,
-                            load,
-                            format!(
-                                "point at offered load {load:.3} panicked and was stubbed: {msg}"
-                            ),
-                        ));
-                        crate::obs::notice(notices.last().unwrap());
+                        note(SweepNotice::panicked(idx, load, &msg));
                     }
                 }
                 if first_wedge == Some(idx) {
-                    notices.push(SweepNotice::new(
-                        "wedged",
-                        idx,
+                    note(SweepNotice::wedged(idx, load));
+                }
+                if let Some(trace) = slot.trace {
+                    outcome.traces.push(PointTrace {
+                        index: idx,
                         load,
-                        format!(
-                            "network wedged at offered load {load:.3}; \
-                             marking remaining loads deadlocked without simulating them"
-                        ),
-                    ));
-                    crate::obs::notice(notices.last().unwrap());
+                        trace,
+                    });
+                }
+                if let Some(ledger) = slot.ledger {
+                    outcome.ledgers.push(PointLedger {
+                        index: idx,
+                        load,
+                        ledger,
+                    });
                 }
                 SweepPoint {
                     load,
-                    stats,
-                    telemetry: None,
+                    stats: slot.stats,
+                    telemetry: slot.telemetry,
                 }
             }
             (stubbed, _) => {
@@ -450,7 +477,7 @@ pub fn supervised_load_sweep_hooked(
                     // stub keeps the curve one-entry-per-load; resume
                     // re-simulates it.
                     if summary.not_run == 0 {
-                        notices.push(SweepNotice::new(
+                        note(SweepNotice::new(
                             "deadline",
                             idx,
                             load,
@@ -459,7 +486,6 @@ pub fn supervised_load_sweep_hooked(
                                  remaining points left for resume"
                             ),
                         ));
-                        crate::obs::notice(notices.last().unwrap());
                     }
                     summary.not_run += 1;
                 } else {
@@ -472,8 +498,9 @@ pub fn supervised_load_sweep_hooked(
                 }
             }
         };
-        points.push(point);
+        outcome.points.push(point);
     }
+    outcome.notices = notices;
     crate::obs::sweep_finished(&crate::obs::SweepAccounting {
         completed: summary.completed as u64,
         retried: summary.retried as u64,
@@ -483,10 +510,7 @@ pub fn supervised_load_sweep_hooked(
         not_run: summary.not_run as u64,
         stubbed: stub_count,
     });
-    SupervisedSweep {
-        outcome: SweepOutcome { points, notices },
-        summary,
-    }
+    SupervisedSweep { outcome, summary }
 }
 
 /// One point's retry loop: decide chaos for the attempt, run isolated,
@@ -496,9 +520,11 @@ fn run_supervised_point(
     runner: &mut PointRunner<'_>,
     idx: usize,
     load: f64,
-    pseed: u64,
+    base_seed: u64,
+    obs: Observers,
     sup: &SuperviseConfig,
-) -> (SyntheticStats, SlotFate) {
+) -> Slot {
+    let pseed = point_seed(base_seed, idx);
     let mut attempt: u32 = 0;
     loop {
         let chaos = sup.chaos.as_ref().and_then(|c| c.decide(pseed, attempt));
@@ -510,24 +536,35 @@ fn run_supervised_point(
             crate::obs::chaos_armed(idx, attempt, kind, c.after_events);
         }
         runner.set_chaos(chaos);
-        let result = runner.run_point_isolated(idx, load, None, None, None);
+        let result = runner.run_point_isolated(idx, load, obs);
         runner.set_chaos(None);
+        let give_up = attempt >= sup.max_retries;
         let reason = match result {
-            Ok((stats, ..)) if !stats.exhausted => {
-                return (stats, SlotFate::Fresh { retries: attempt });
+            Ok(run) if !run.stats.exhausted || give_up => {
+                let fate = if run.stats.exhausted {
+                    SlotFate::Exhausted
+                } else {
+                    SlotFate::Fresh { retries: attempt }
+                };
+                return Slot {
+                    telemetry: run.telemetry.map(|r| r.summary()),
+                    stats: run.stats,
+                    trace: run.trace,
+                    ledger: run.ledger,
+                    fate,
+                };
             }
-            Ok((stats, ..)) => {
-                if attempt >= sup.max_retries {
-                    return (stats, SlotFate::Exhausted);
-                }
-                "exhausted"
+            Err(msg) if give_up => {
+                return Slot {
+                    stats: SyntheticStats::panicked_stub(load),
+                    telemetry: None,
+                    trace: None,
+                    ledger: None,
+                    fate: SlotFate::Panicked { msg },
+                };
             }
-            Err(msg) => {
-                if attempt >= sup.max_retries {
-                    return (SyntheticStats::panicked_stub(load), SlotFate::Panicked { msg });
-                }
-                "panic"
-            }
+            Ok(_) => "exhausted",
+            Err(_) => "panic",
         };
         crate::obs::retry(idx, load, attempt + 1, reason);
         std::thread::sleep(std::time::Duration::from_millis(backoff_ms(
@@ -541,8 +578,7 @@ fn run_supervised_point(
 mod tests {
     use super::*;
     use crate::config::RunBudget;
-    use crate::par::par_load_sweep_collect;
-    use crate::sweep::load_grid;
+    use crate::sweep::{load_grid, sweep};
     use d2net_routing::Algorithm;
     use d2net_topo::{slim_fly, SlimFlyP};
 
@@ -550,6 +586,20 @@ mod tests {
         let net = slim_fly(5, SlimFlyP::Floor);
         let policy = RoutePolicy::new(&net, Algorithm::Minimal);
         (net, policy, SyntheticPattern::Uniform)
+    }
+
+    /// A 6 µs supervised sweep of `fixture()` with a 1 µs warm-up.
+    fn supervised(
+        loads: &[f64],
+        cfg: SimConfig,
+        sup: &SuperviseConfig,
+        hooks: &SuperviseHooks<'_>,
+    ) -> SupervisedSweep {
+        let (net, policy, pattern) = fixture();
+        let obs = Observers::default();
+        supervised_sweep(
+            &net, &policy, &pattern, loads, 6_000, 1_000, cfg, obs, sup, hooks,
+        )
     }
 
     #[test]
@@ -609,50 +659,40 @@ mod tests {
         let (net, policy, pattern) = fixture();
         let loads = load_grid(4);
         let cfg = SimConfig::default();
-        let plain = par_load_sweep_collect(&net, &policy, &pattern, &loads, 6_000, 1_000, cfg, 2);
-        let sup = supervised_load_sweep_collect(
-            &net,
-            &policy,
-            &pattern,
+        let obs = Observers::default();
+        let plain = sweep(&net, &policy, &pattern, &loads, 6_000, 1_000, cfg, obs, 2);
+        let sup = supervised(
             &loads,
-            6_000,
-            1_000,
             cfg,
             &SuperviseConfig {
                 threads: 2,
                 ..SuperviseConfig::default()
             },
+            &SuperviseHooks::default(),
         );
-        assert_eq!(sup.outcome, plain, "supervision must be invisible when clean");
+        assert_eq!(
+            sup.outcome, plain,
+            "supervision must be invisible when clean"
+        );
         assert!(sup.summary.is_trivial());
         assert_eq!(sup.summary.completed, loads.len());
     }
 
     #[test]
     fn chaos_panics_are_retried_to_byte_identical_results() {
-        let (net, policy, pattern) = fixture();
         let loads = load_grid(4);
         let cfg = SimConfig::default();
-        let clean = supervised_load_sweep_collect(
-            &net,
-            &policy,
-            &pattern,
+        let clean = supervised(
             &loads,
-            6_000,
-            1_000,
             cfg,
             &SuperviseConfig::default(),
+            &SuperviseHooks::default(),
         );
         // Heavy panic chaos, plenty of retries: every point must still
         // come back identical to the clean run because retries reuse the
         // point seed.
-        let chaotic = supervised_load_sweep_collect(
-            &net,
-            &policy,
-            &pattern,
+        let chaotic = supervised(
             &loads,
-            6_000,
-            1_000,
             cfg,
             &SuperviseConfig {
                 max_retries: 8,
@@ -664,6 +704,7 @@ mod tests {
                 }),
                 threads: 2,
             },
+            &SuperviseHooks::default(),
         );
         assert_eq!(chaotic.outcome, clean.outcome);
         assert!(chaotic.summary.retried > 0, "chaos at 50 % must have fired");
@@ -672,7 +713,6 @@ mod tests {
 
     #[test]
     fn exhausted_retries_give_up_into_coded_notice() {
-        let (net, policy, pattern) = fixture();
         let loads = [0.3, 0.6];
         // A budget so small every point exhausts, with no chaos: the
         // supervisor must retry, give up, and keep the partial stats.
@@ -680,19 +720,15 @@ mod tests {
             budget: RunBudget::events(200),
             ..SimConfig::default()
         };
-        let sup = supervised_load_sweep_collect(
-            &net,
-            &policy,
-            &pattern,
+        let sup = supervised(
             &loads,
-            6_000,
-            1_000,
             cfg,
             &SuperviseConfig {
                 max_retries: 1,
                 backoff_base_ms: 1,
                 ..SuperviseConfig::default()
             },
+            &SuperviseHooks::default(),
         );
         assert_eq!(sup.summary.exhausted, 2);
         assert_eq!(sup.summary.completed, 0);
@@ -704,18 +740,13 @@ mod tests {
 
     #[test]
     fn resume_prefill_skips_points_and_reproduces_the_full_run() {
-        let (net, policy, pattern) = fixture();
         let loads = load_grid(4);
         let cfg = SimConfig::default();
-        let full = supervised_load_sweep_collect(
-            &net,
-            &policy,
-            &pattern,
+        let full = supervised(
             &loads,
-            6_000,
-            1_000,
             cfg,
             &SuperviseConfig::default(),
+            &SuperviseHooks::default(),
         );
         // Prefill the first half from the "journal" and resume.
         let prefilled: Vec<Option<SyntheticStats>> = full
@@ -729,13 +760,8 @@ mod tests {
         let on_point = |idx: usize, _: &SyntheticStats| {
             resumed_points.lock().unwrap().push(idx);
         };
-        let resumed = supervised_load_sweep_hooked(
-            &net,
-            &policy,
-            &pattern,
+        let resumed = supervised(
             &loads,
-            6_000,
-            1_000,
             cfg,
             &SuperviseConfig::default(),
             &SuperviseHooks {
@@ -754,17 +780,11 @@ mod tests {
 
     #[test]
     fn stop_signal_drains_gracefully_with_deadline_notice() {
-        let (net, policy, pattern) = fixture();
         let loads = load_grid(4);
         let cfg = SimConfig::default();
         let stop = || true; // stop before anything starts
-        let out = supervised_load_sweep_hooked(
-            &net,
-            &policy,
-            &pattern,
+        let out = supervised(
             &loads,
-            6_000,
-            1_000,
             cfg,
             &SuperviseConfig {
                 threads: 2,

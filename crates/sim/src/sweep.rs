@@ -4,15 +4,17 @@
 //! Every sweep point runs from an **index-derived seed**
 //! ([`point_seed`]), so a point's simulated schedule depends only on
 //! `(base seed, index)` — never on which points ran before it or on
-//! which thread. That is what lets [`crate::par::par_load_sweep`] return
-//! byte-identical results to the serial functions here.
+//! which thread. That is what lets [`sweep`] return byte-identical
+//! results at every thread count.
 
 use crate::config::{EngineChaos, SimConfig};
 use crate::engine::{synthetic_sources, Engine};
-use crate::ledger::{EngineLedger, LedgerConfig, PointLedger};
+use crate::ledger::PointLedger;
+use crate::shard::{Observers, Run, Synthetic, Workload};
 use crate::stats::SyntheticStats;
-use crate::telemetry::{ProbeConfig, TelemetryReport, TelemetrySummary};
-use crate::trace::{EngineTrace, PointTrace, TraceConfig};
+use crate::supervise::{pool, SuperviseConfig, SuperviseHooks};
+use crate::telemetry::TelemetrySummary;
+use crate::trace::PointTrace;
 use d2net_routing::RoutePolicy;
 use d2net_topo::Network;
 use d2net_traffic::SyntheticPattern;
@@ -25,8 +27,7 @@ use std::io::Write;
 pub struct SweepPoint {
     pub load: f64,
     pub stats: SyntheticStats,
-    /// Present when the sweep ran with a probe attached
-    /// ([`load_sweep_probed`]); plain [`load_sweep`] leaves it `None`.
+    /// Present when the sweep ran with [`Observers::probe`] set.
     pub telemetry: Option<TelemetrySummary>,
 }
 
@@ -135,14 +136,23 @@ pub(crate) fn rejected_outcome(loads: &[f64], reason: String) -> SweepOutcome {
             })
             .collect(),
         notices: vec![notice],
+        traces: Vec::new(),
+        ledgers: Vec::new(),
     }
 }
 
-/// A sweep's points plus any notices it raised.
-#[derive(Debug, Clone, PartialEq)]
+/// A sweep's points plus any notices it raised, and the trace and
+/// ledger of every simulated point when those observers were attached.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SweepOutcome {
     pub points: Vec<SweepPoint>,
     pub notices: Vec<SweepNotice>,
+    /// One per point that reached a simulated result, in index order;
+    /// stubbed, panicked and resumed points have none, so the list is
+    /// identical at every thread count.
+    pub traces: Vec<PointTrace>,
+    /// As `traces`, for the decision ledger.
+    pub ledgers: Vec<PointLedger>,
 }
 
 impl SweepOutcome {
@@ -162,24 +172,6 @@ impl SweepOutcome {
         }
         let _ = std::io::stderr().lock().write_all(text.as_bytes());
     }
-}
-
-/// How one sweep point ended — the discriminator [`sweep_impl`] (and
-/// the parallel post-pass in [`crate::par`]) uses to decide which
-/// notice, if any, a point raises. Kept separate from the stats so a
-/// panicked point (whose stub also reads `deadlocked`) never triggers
-/// the wedge early-abort: a panic is an isolated fault, not evidence
-/// the network deadlocks at every higher load.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum PointFate {
-    /// Ran to completion; the stats are real (and may report a genuine
-    /// wedge or a budget exhaustion).
-    Simulated,
-    /// Stubbed without simulating because a lower load already wedged.
-    Skipped,
-    /// The simulation panicked and was isolated; carries the panic
-    /// message. The point holds a [`SyntheticStats::panicked_stub`].
-    Panicked(String),
 }
 
 /// Extracts a human-readable message from a `catch_unwind` payload.
@@ -224,7 +216,7 @@ pub(crate) fn with_quiet_panics<R>(f: impl FnOnce() -> R) -> R {
 /// Derives the RNG seed for sweep point `idx` from the config's base
 /// seed: a SplitMix64-style finalizer over `base ⊕ golden·(idx+1)`.
 /// Deterministic, order-free, and well-spread even for adjacent indices
-/// — serial and parallel sweeps both seed every point through here.
+/// — every sweep seeds its points through here.
 /// (Single runs via [`crate::run_synthetic`] keep the raw `cfg.seed`.)
 pub fn point_seed(base: u64, idx: usize) -> u64 {
     let mut z = base ^ (idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -235,15 +227,14 @@ pub fn point_seed(base: u64, idx: usize) -> u64 {
 
 /// Simulates successive points of one sweep on a single reusable
 /// [`Engine`]: the first point builds it, later points [`Engine::reset`]
-/// it, so the flat per-port state is allocated once per curve (serial)
-/// or once per worker (parallel) instead of once per point.
+/// it, so the flat per-port state is allocated once per sweep worker
+/// instead of once per point.
 pub(crate) struct PointRunner<'a> {
     net: &'a Network,
     policy: &'a RoutePolicy,
-    pattern: &'a SyntheticPattern,
+    /// Every point's workload; `load` is set per point.
+    spec: Synthetic<'a>,
     cfg: SimConfig,
-    end_ps: u64,
-    warmup_ps: u64,
     /// Intra-run shard count every point uses (see
     /// [`crate::shard::plan_shards`]); at `1` points run on the
     /// reusable serial engine below, otherwise each point runs the
@@ -266,12 +257,10 @@ impl<'a> PointRunner<'a> {
     pub(crate) fn try_new(
         net: &'a Network,
         policy: &'a RoutePolicy,
-        pattern: &'a SyntheticPattern,
+        spec: Synthetic<'a>,
         cfg: SimConfig,
-        duration_ns: u64,
-        warmup_ns: u64,
     ) -> Result<Self, String> {
-        d2net_verify::invariant::warmup_within(warmup_ns, duration_ns)?;
+        spec.check(net)?;
         d2net_verify::invariant::vc_buffer_sufficient(
             cfg.buffer_bytes,
             policy.num_vcs(),
@@ -280,10 +269,8 @@ impl<'a> PointRunner<'a> {
         Ok(PointRunner {
             net,
             policy,
-            pattern,
+            spec,
             cfg,
-            end_ps: duration_ns * 1_000,
-            warmup_ps: warmup_ns * 1_000,
             shards: crate::shard::plan_shards(net, policy, &cfg),
             engine: None,
             chaos: None,
@@ -302,15 +289,9 @@ impl<'a> PointRunner<'a> {
         &mut self,
         idx: usize,
         load: f64,
-        probe: Option<ProbeConfig>,
-        trace: Option<TraceConfig>,
-        ledger: Option<LedgerConfig>,
-    ) -> (
-        SyntheticStats,
-        Option<TelemetryReport>,
-        Option<EngineTrace>,
-        Option<EngineLedger>,
-    ) {
+        obs: Observers,
+    ) -> Run<SyntheticStats> {
+        let spec = Synthetic { load, ..self.spec };
         if self.shards > 1 {
             // The sharded runner re-derives the run's randomness from
             // `cfg.seed`; substituting the point seed reproduces
@@ -320,29 +301,17 @@ impl<'a> PointRunner<'a> {
             if self.chaos.is_some() {
                 pcfg.chaos = self.chaos;
             }
-            let work = crate::shard::Synthetic {
-                pattern: self.pattern,
-                schedule: None,
-                load,
-                end_ps: self.end_ps,
-                warmup_ps: self.warmup_ps,
-            };
-            return crate::shard::run_sharded_inner(
-                self.net,
-                self.policy,
-                &work,
-                pcfg,
-                probe,
-                trace,
-                ledger,
-            )
-            .expect("point parameters were validated in try_new");
+            return crate::shard::run(self.net, self.policy, &spec, pcfg, obs)
+                .expect("point parameters were validated in try_new");
         }
-        let mut rng = SmallRng::seed_from_u64(point_seed(self.cfg.seed, idx));
-        let sources = synthetic_sources(self.net, self.pattern, load, self.end_ps, &self.cfg, &mut rng);
+        let end_ps = spec.duration_ns * 1_000;
+        let warmup_ps = spec.warmup_ns * 1_000;
+        let seed = point_seed(self.cfg.seed, idx);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let sources = synthetic_sources(self.net, spec.pattern, load, end_ps, &self.cfg, &mut rng);
         let engine = match &mut self.engine {
             Some(e) => {
-                e.reset(sources, self.warmup_ps, rng);
+                e.reset(sources, warmup_ps, rng);
                 e
             }
             None => self.engine.insert(Engine::new(
@@ -350,24 +319,14 @@ impl<'a> PointRunner<'a> {
                 self.policy,
                 self.cfg,
                 sources,
-                self.warmup_ps,
+                warmup_ps,
                 rng,
             )),
         };
-        engine.set_chaos(self.chaos.or(self.cfg.chaos));
-        if let Some(p) = probe {
-            engine.attach_probe(p);
-        }
-        if let Some(t) = trace {
-            engine.attach_trace(t);
-        }
-        if let Some(l) = ledger {
-            engine.attach_ledger(l);
-        }
-        let (stats, report) = engine.run_synthetic_to(load, self.end_ps);
-        let tr = engine.take_trace();
-        let led = engine.take_ledger();
-        (stats, report, tr, led)
+        engine.set_point(seed, self.chaos.or(self.cfg.chaos));
+        obs.attach(engine);
+        let (stats, telemetry) = engine.run_synthetic_to(load, end_ps);
+        Run::from_engine(stats, telemetry, engine)
     }
 
     /// [`PointRunner::run_point`] behind `catch_unwind`: a panicking
@@ -375,27 +334,16 @@ impl<'a> PointRunner<'a> {
     /// into (and killing) the sweep. The reusable engine is dropped on
     /// the way out — it may hold arbitrary torn state — so the next
     /// point rebuilds from scratch.
-    #[allow(clippy::type_complexity)]
     pub(crate) fn run_point_isolated(
         &mut self,
         idx: usize,
         load: f64,
-        probe: Option<ProbeConfig>,
-        trace: Option<TraceConfig>,
-        ledger: Option<LedgerConfig>,
-    ) -> Result<
-        (
-            SyntheticStats,
-            Option<TelemetryReport>,
-            Option<EngineTrace>,
-            Option<EngineLedger>,
-        ),
-        String,
-    > {
+        obs: Observers,
+    ) -> Result<Run<SyntheticStats>, String> {
         let obs_t0 = crate::obs::enabled().then(std::time::Instant::now);
         let result = with_quiet_panics(|| {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.run_point(idx, load, probe, trace, ledger)
+                self.run_point(idx, load, obs)
             }))
         });
         let result = match result {
@@ -411,14 +359,14 @@ impl<'a> PointRunner<'a> {
             let wall_ms = t0.elapsed().as_secs_f64() * 1_000.0;
             let events = crate::obs::take_run_events();
             match &result {
-                Ok((stats, ..)) => crate::obs::point_run(
+                Ok(run) => crate::obs::point_run(
                     idx,
                     load,
                     wall_ms,
                     events,
-                    stats.throughput,
-                    stats.deadlocked,
-                    stats.exhausted,
+                    run.stats.throughput,
+                    run.stats.deadlocked,
+                    run.stats.exhausted,
                 ),
                 Err(msg) => crate::obs::point_panic(idx, load, wall_ms, msg),
             }
@@ -427,15 +375,26 @@ impl<'a> PointRunner<'a> {
     }
 }
 
-/// Simulates `net` at each offered load in `loads`, returning one curve
-/// point per load plus any [`SweepNotice`]s raised.
+/// Simulates `net` at each offered load in `loads` on `threads` workers
+/// (`0` = auto, see [`crate::resolve_threads`]; `1` is the serial
+/// sweep), returning one curve point per load plus any
+/// [`SweepNotice`]s raised, and the trace and ledger of every simulated
+/// point when `obs` attaches them. The outcome is `==` at every thread
+/// count.
 ///
 /// If a point wedges, the remaining (higher) loads are not simulated: a
 /// deadlocked network stays deadlocked under more pressure, and each
 /// wedged point would otherwise burn a full simulated horizon. Skipped
 /// points carry [`SyntheticStats::deadlocked_stub`] so curves keep one
-/// entry per requested load.
-pub fn load_sweep_collect(
+/// entry per requested load. A panicking point is isolated into a
+/// [`SyntheticStats::panicked_stub`] with a `"panicked"` notice; a
+/// rejected configuration stubs every point behind one `"rejected"`
+/// notice.
+///
+/// This is [`crate::supervised_sweep`] with no retries, no chaos and
+/// no hooks.
+#[allow(clippy::too_many_arguments)]
+pub fn sweep(
     net: &Network,
     policy: &RoutePolicy,
     pattern: &SyntheticPattern,
@@ -443,282 +402,61 @@ pub fn load_sweep_collect(
     duration_ns: u64,
     warmup_ns: u64,
     cfg: SimConfig,
+    obs: Observers,
+    threads: usize,
 ) -> SweepOutcome {
-    // One static pass covers every load point: verification is
-    // load-independent, so the per-point configs run with it disabled.
-    let cfg = match crate::engine::try_preflight_once(net, policy, cfg) {
-        Ok(cfg) => cfg,
-        Err(e) => return rejected_outcome(loads, e),
-    };
-    let mut runner = match PointRunner::try_new(net, policy, pattern, cfg, duration_ns, warmup_ns) {
-        Ok(r) => r,
-        Err(e) => return rejected_outcome(loads, e),
-    };
-    sweep_impl(loads, |idx, load, first_wedge| {
-        if first_wedge.is_some() {
-            return stub_point(load);
-        }
-        match runner.run_point_isolated(idx, load, None, None, None) {
-            Ok((stats, ..)) => (
-                SweepPoint {
-                    load,
-                    stats,
-                    telemetry: None,
-                },
-                PointFate::Simulated,
-            ),
-            Err(msg) => panicked_point(load, msg),
-        }
-    })
-}
-
-/// [`load_sweep_collect`], printing notices to stderr and returning the
-/// bare points — the convenient form for interactive callers.
-pub fn load_sweep(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &SyntheticPattern,
-    loads: &[f64],
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-) -> Vec<SweepPoint> {
-    let out = load_sweep_collect(net, policy, pattern, loads, duration_ns, warmup_ns, cfg);
-    out.print_notices();
-    out.points
-}
-
-/// [`load_sweep_collect`] with an observability probe attached to every
-/// simulated point; each [`SweepPoint`] carries its [`TelemetrySummary`].
-#[allow(clippy::too_many_arguments)]
-pub fn load_sweep_probed_collect(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &SyntheticPattern,
-    loads: &[f64],
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-    probe: ProbeConfig,
-) -> SweepOutcome {
-    let cfg = match crate::engine::try_preflight_once(net, policy, cfg) {
-        Ok(cfg) => cfg,
-        Err(e) => return rejected_outcome(loads, e),
-    };
-    let mut runner = match PointRunner::try_new(net, policy, pattern, cfg, duration_ns, warmup_ns) {
-        Ok(r) => r,
-        Err(e) => return rejected_outcome(loads, e),
-    };
-    sweep_impl(loads, |idx, load, first_wedge| {
-        if first_wedge.is_some() {
-            return stub_point(load);
-        }
-        match runner.run_point_isolated(idx, load, Some(probe), None, None) {
-            Ok((stats, report, _, _)) => (
-                SweepPoint {
-                    load,
-                    stats,
-                    telemetry: Some(report.expect("probe was attached").summary()),
-                },
-                PointFate::Simulated,
-            ),
-            Err(msg) => panicked_point(load, msg),
-        }
-    })
-}
-
-/// [`load_sweep`] with an observability probe attached to every simulated
-/// point; each [`SweepPoint`] carries its [`TelemetrySummary`].
-#[allow(clippy::too_many_arguments)]
-pub fn load_sweep_probed(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &SyntheticPattern,
-    loads: &[f64],
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-    probe: ProbeConfig,
-) -> Vec<SweepPoint> {
-    let out =
-        load_sweep_probed_collect(net, policy, pattern, loads, duration_ns, warmup_ns, cfg, probe);
-    out.print_notices();
-    out.points
-}
-
-/// [`load_sweep_collect`] with a [`TraceConfig`] attached to every
-/// simulated point. Returns the outcome plus one [`PointTrace`] per
-/// *simulated* point, in index order — wedge-stubbed points have no
-/// trace, exactly like the parallel variant, so serial and parallel
-/// trace files stay byte-identical.
-#[allow(clippy::too_many_arguments)]
-pub fn load_sweep_traced_collect(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &SyntheticPattern,
-    loads: &[f64],
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-    trace: TraceConfig,
-) -> (SweepOutcome, Vec<PointTrace>) {
-    let cfg = match crate::engine::try_preflight_once(net, policy, cfg) {
-        Ok(cfg) => cfg,
-        Err(e) => return (rejected_outcome(loads, e), Vec::new()),
-    };
-    let mut runner = match PointRunner::try_new(net, policy, pattern, cfg, duration_ns, warmup_ns) {
-        Ok(r) => r,
-        Err(e) => return (rejected_outcome(loads, e), Vec::new()),
-    };
-    let mut traces = Vec::new();
-    let out = sweep_impl(loads, |idx, load, first_wedge| {
-        if first_wedge.is_some() {
-            return stub_point(load);
-        }
-        match runner.run_point_isolated(idx, load, None, Some(trace), None) {
-            Ok((stats, _, tr, _)) => {
-                traces.push(PointTrace {
-                    index: idx,
-                    load,
-                    trace: tr.expect("trace was attached"),
-                });
-                (
-                    SweepPoint {
-                        load,
-                        stats,
-                        telemetry: None,
-                    },
-                    PointFate::Simulated,
-                )
-            }
-            // A panicked point has no trace — same as the parallel
-            // variant, which drops traces of stubbed points.
-            Err(msg) => panicked_point(load, msg),
-        }
-    });
-    (out, traces)
-}
-
-/// [`load_sweep_collect`] with a [`LedgerConfig`] attached to every
-/// simulated point. Returns the outcome plus one [`PointLedger`] per
-/// *simulated* point, in index order — wedge-stubbed points have no
-/// ledger, exactly like the parallel variant, so serial and parallel
-/// ledger serializations stay byte-identical.
-#[allow(clippy::too_many_arguments)]
-pub fn load_sweep_ledgered_collect(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &SyntheticPattern,
-    loads: &[f64],
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-    ledger: LedgerConfig,
-) -> (SweepOutcome, Vec<PointLedger>) {
-    let cfg = match crate::engine::try_preflight_once(net, policy, cfg) {
-        Ok(cfg) => cfg,
-        Err(e) => return (rejected_outcome(loads, e), Vec::new()),
-    };
-    let mut runner = match PointRunner::try_new(net, policy, pattern, cfg, duration_ns, warmup_ns) {
-        Ok(r) => r,
-        Err(e) => return (rejected_outcome(loads, e), Vec::new()),
-    };
-    let mut ledgers = Vec::new();
-    let out = sweep_impl(loads, |idx, load, first_wedge| {
-        if first_wedge.is_some() {
-            return stub_point(load);
-        }
-        match runner.run_point_isolated(idx, load, None, None, Some(ledger)) {
-            Ok((stats, _, _, led)) => {
-                ledgers.push(PointLedger {
-                    index: idx,
-                    load,
-                    ledger: led.expect("ledger was attached"),
-                });
-                (
-                    SweepPoint {
-                        load,
-                        stats,
-                        telemetry: None,
-                    },
-                    PointFate::Simulated,
-                )
-            }
-            Err(msg) => panicked_point(load, msg),
-        }
-    });
-    (out, ledgers)
-}
-
-/// Shared early-abort loop: `point` receives the index, the load and,
-/// once any point has wedged, the load that first wedged, and reports
-/// how the point ended via its [`PointFate`]. Only a genuinely
-/// simulated wedge arms the early-abort; panicked and budget-exhausted
-/// points raise their coded notice and let the sweep continue.
-fn sweep_impl(
-    loads: &[f64],
-    mut point: impl FnMut(usize, f64, Option<f64>) -> (SweepPoint, PointFate),
-) -> SweepOutcome {
-    crate::obs::sweep_started(loads.len());
-    let mut acc = crate::obs::SweepAccounting::default();
-    let mut points = Vec::with_capacity(loads.len());
-    let mut notices = Vec::new();
-    let mut first_wedge: Option<f64> = None;
-    for (idx, &load) in loads.iter().enumerate() {
-        let (p, fate) = point(idx, load, first_wedge);
-        match fate {
-            PointFate::Simulated => {
-                // `deadlocked` and `exhausted` are mutually exclusive: a
-                // budget abort returns before the wedge check runs.
-                if p.stats.exhausted {
-                    acc.exhausted += 1;
-                    notices.push(SweepNotice::exhausted(idx, load));
-                    crate::obs::notice(notices.last().unwrap());
-                } else {
-                    acc.completed += 1;
-                }
-                if p.stats.deadlocked && first_wedge.is_none() {
-                    first_wedge = Some(load);
-                    notices.push(SweepNotice::wedged(idx, load));
-                    crate::obs::notice(notices.last().unwrap());
-                }
-            }
-            PointFate::Skipped => acc.stubbed += 1,
-            PointFate::Panicked(msg) => {
-                acc.panicked += 1;
-                notices.push(SweepNotice::panicked(idx, load, &msg));
-                crate::obs::notice(notices.last().unwrap());
-            }
-        }
-        points.push(p);
-    }
-    crate::obs::sweep_finished(&acc);
-    SweepOutcome { points, notices }
-}
-
-/// The stub-or-simulate skeleton every serial sweep closure shares:
-/// stubs once a lower load wedged, otherwise runs the point isolated
-/// and maps a panic to its stub + fate.
-fn stub_point(load: f64) -> (SweepPoint, PointFate) {
-    (
-        SweepPoint {
-            load,
-            stats: SyntheticStats::deadlocked_stub(load),
-            telemetry: None,
-        },
-        PointFate::Skipped,
+    let order: Vec<usize> = (0..loads.len()).collect();
+    sweep_with_order(
+        net,
+        policy,
+        pattern,
+        loads,
+        duration_ns,
+        warmup_ns,
+        cfg,
+        obs,
+        threads,
+        &order,
     )
 }
 
-fn panicked_point(load: f64, msg: String) -> (SweepPoint, PointFate) {
-    (
-        SweepPoint {
-            load,
-            stats: SyntheticStats::panicked_stub(load),
-            telemetry: None,
-        },
-        PointFate::Panicked(msg),
+/// [`sweep`] with an explicit work order — the audit hook for the
+/// scheduling-independence property test: `order` is the sequence in
+/// which the pool hands out point indices, and the result must be
+/// identical for every permutation.
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn sweep_with_order(
+    net: &Network,
+    policy: &RoutePolicy,
+    pattern: &SyntheticPattern,
+    loads: &[f64],
+    duration_ns: u64,
+    warmup_ns: u64,
+    cfg: SimConfig,
+    obs: Observers,
+    threads: usize,
+    order: &[usize],
+) -> SweepOutcome {
+    let sup = SuperviseConfig {
+        max_retries: 0,
+        chaos: None,
+        threads,
+        ..SuperviseConfig::default()
+    };
+    let spec = Synthetic::new(pattern, 0.0, duration_ns, warmup_ns);
+    pool(
+        net,
+        policy,
+        spec,
+        loads,
+        cfg,
+        obs,
+        &sup,
+        &SuperviseHooks::default(),
+        order,
     )
+    .outcome
 }
 
 /// The standard load grid used by the figure harness: `steps` evenly
@@ -744,19 +482,6 @@ pub fn load_grid_from(start: f64, steps: usize) -> Vec<f64> {
     (0..steps)
         .map(|i| start + (1.0 - start) * i as f64 / (steps - 1) as f64)
         .collect()
-}
-
-/// Estimates the saturation throughput: the accepted throughput when
-/// offering full load (the plateau of the throughput curve).
-pub fn saturation_throughput(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &SyntheticPattern,
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-) -> f64 {
-    crate::engine::run_synthetic(net, policy, pattern, 1.0, duration_ns, warmup_ns, cfg).throughput
 }
 
 #[cfg(test)]
@@ -797,94 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn early_abort_stubs_higher_loads_and_raises_one_notice() {
-        // Simulate the sweep loop with a synthetic "wedges at 0.5" run.
-        let mut simulated = Vec::new();
-        let out = sweep_impl(&[0.25, 0.5, 0.75, 1.0], |_, load, first_wedge| {
-            if first_wedge.is_some() {
-                return stub_point(load);
-            }
-            simulated.push(load);
-            let mut stats = SyntheticStats::deadlocked_stub(load);
-            stats.deadlocked = load >= 0.5;
-            stats.throughput = load;
-            (
-                SweepPoint {
-                    load,
-                    stats,
-                    telemetry: None,
-                },
-                PointFate::Simulated,
-            )
-        });
-        assert_eq!(simulated, vec![0.25, 0.5]);
-        let points = &out.points;
-        assert_eq!(points.len(), 4);
-        assert!(!points[0].stats.deadlocked);
-        assert!(points[1].stats.deadlocked);
-        assert!(points[2].stats.deadlocked && points[2].stats.throughput == 0.0);
-        assert!(points[3].stats.deadlocked && points[3].stats.delivered_packets == 0);
-        assert_eq!(out.notices.len(), 1);
-        assert_eq!(out.notices[0].code, "wedged");
-        assert_eq!(out.notices[0].index, 1);
-        assert!((out.notices[0].load - 0.5).abs() < 1e-12);
-        assert!(out.notices[0].render().contains("wedged at offered load 0.500"));
-    }
-
-    #[test]
-    fn panicked_point_raises_coded_notice_without_aborting_the_sweep() {
-        let mut simulated = Vec::new();
-        let out = sweep_impl(&[0.25, 0.5, 0.75], |_, load, first_wedge| {
-            assert!(first_wedge.is_none(), "a panic must not arm early-abort");
-            simulated.push(load);
-            if (load - 0.5).abs() < 1e-12 {
-                return panicked_point(load, "boom".to_string());
-            }
-            let mut stats = SyntheticStats::deadlocked_stub(load);
-            stats.deadlocked = false;
-            (
-                SweepPoint {
-                    load,
-                    stats,
-                    telemetry: None,
-                },
-                PointFate::Simulated,
-            )
-        });
-        // Every load simulated: the panic at 0.5 did not stub 0.75.
-        assert_eq!(simulated, vec![0.25, 0.5, 0.75]);
-        assert!(out.points[1].stats.deadlocked, "panicked stub is unusable");
-        assert!(!out.points[2].stats.deadlocked);
-        assert_eq!(out.notices.len(), 1);
-        assert_eq!(out.notices[0].code, "panicked");
-        assert_eq!(out.notices[0].index, 1);
-        assert!(out.notices[0].message.contains("boom"));
-    }
-
-    #[test]
-    fn exhausted_point_keeps_partial_stats_and_raises_coded_notice() {
-        let out = sweep_impl(&[0.25, 0.5], |_, load, _| {
-            let mut stats = SyntheticStats::deadlocked_stub(load);
-            stats.deadlocked = false;
-            stats.exhausted = (load - 0.5).abs() < 1e-12;
-            stats.throughput = load * 0.9;
-            (
-                SweepPoint {
-                    load,
-                    stats,
-                    telemetry: None,
-                },
-                PointFate::Simulated,
-            )
-        });
-        assert!(out.points[1].stats.exhausted);
-        assert!(out.points[1].stats.throughput > 0.0, "partial stats kept");
-        assert_eq!(out.notices.len(), 1);
-        assert_eq!(out.notices[0].code, "exhausted");
-        assert_eq!(out.notices[0].index, 1);
-    }
-
-    #[test]
     fn run_point_isolated_catches_chaos_panics_and_recovers() {
         use crate::config::{ChaosKind, EngineChaos};
         use d2net_routing::Algorithm;
@@ -895,8 +532,8 @@ mod tests {
         let policy = RoutePolicy::new(&net, Algorithm::Minimal);
         let pattern = SyntheticPattern::Uniform;
         let cfg = SimConfig::default();
-        let mut runner =
-            PointRunner::try_new(&net, &policy, &pattern, cfg, 2_000, 200).unwrap();
+        let spec = Synthetic::new(&pattern, 0.0, 2_000, 200);
+        let mut runner = PointRunner::try_new(&net, &policy, spec, cfg).unwrap();
 
         // Arm a panic a few hundred events in; the point must come back
         // as Err, not kill the process.
@@ -905,21 +542,27 @@ mod tests {
             after_events: 300,
         }));
         let err = runner
-            .run_point_isolated(0, 0.3, None, None, None)
+            .run_point_isolated(0, 0.3, Observers::default())
             .unwrap_err();
         assert!(err.contains("chaos: injected panic"), "{err}");
 
         // Disarm: the very next point on the same runner must simulate
         // normally (the torn engine was dropped and rebuilt).
         runner.set_chaos(None);
-        let (stats, ..) = runner.run_point_isolated(1, 0.3, None, None, None).unwrap();
+        let stats = runner
+            .run_point_isolated(1, 0.3, Observers::default())
+            .unwrap()
+            .stats;
         assert!(!stats.deadlocked);
         assert!(stats.delivered_packets > 0);
 
         // And it must be byte-identical to a fresh runner that never
         // saw the panic — isolation cannot leak into later points.
-        let mut clean = PointRunner::try_new(&net, &policy, &pattern, cfg, 2_000, 200).unwrap();
-        let (clean_stats, ..) = clean.run_point_isolated(1, 0.3, None, None, None).unwrap();
+        let mut clean = PointRunner::try_new(&net, &policy, spec, cfg).unwrap();
+        let clean_stats = clean
+            .run_point_isolated(1, 0.3, Observers::default())
+            .unwrap()
+            .stats;
         assert_eq!(stats, clean_stats);
     }
 }

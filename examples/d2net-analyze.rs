@@ -170,7 +170,7 @@ fn main() {
         let pa = analyze_policy(&net, &policy, &tm, &lat).expect("pristine network analyzes");
 
         let probe = ProbeConfig::default();
-        let serial = load_sweep_probed_collect(
+        let serial = sweep(
             &net,
             &policy,
             &SyntheticPattern::Uniform,
@@ -178,9 +178,10 @@ fn main() {
             params.duration_ns,
             params.warmup_ns,
             params.sim,
-            probe,
+            Observers::probed(probe),
+            1,
         );
-        let parallel = par_load_sweep_probed_collect(
+        let parallel = sweep(
             &net,
             &policy,
             &SyntheticPattern::Uniform,
@@ -188,7 +189,7 @@ fn main() {
             params.duration_ns,
             params.warmup_ns,
             params.sim,
-            probe,
+            Observers::probed(probe),
             0,
         );
         let measured = measured_saturation(&serial);
@@ -197,16 +198,20 @@ fn main() {
         // the lower (minimal) envelope edge: UGAL holds minimal verdicts
         // when nothing is congested.
         let probe_load = (gate_cfg.probe_load_frac * pa.saturation_lo).clamp(0.05, 1.0);
-        let (_, tel) = run_synthetic_probed(
+        let (_, tel) = run(
             &net,
             &policy,
-            &SyntheticPattern::Uniform,
-            probe_load,
-            params.duration_ns,
-            params.warmup_ns,
+            &Synthetic::new(
+                &SyntheticPattern::Uniform,
+                probe_load,
+                params.duration_ns,
+                params.warmup_ns,
+            ),
             params.sim,
-            probe,
-        );
+            Observers::probed(probe),
+        )
+        .map(|r| (r.stats, r.telemetry.expect("probe was attached")))
+        .unwrap();
         let residuals = link_residuals(&net, &pa.reports[0], &tel, probe_load)
             .expect("probe geometry matches the network");
         let (summary, diags) = divergence_gate("uniform", &pa, measured, Some(&residuals), &gate_cfg);

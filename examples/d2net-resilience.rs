@@ -33,7 +33,7 @@ fn main() {
     ];
     let mut manifests = Vec::new();
     for net in &nets {
-        let curve = resilience_sweep_par(
+        let (curve, _) = resilience_sweep(
             net,
             Algorithm::Minimal,
             &SyntheticPattern::Uniform,
@@ -42,6 +42,7 @@ fn main() {
             duration_ns,
             warmup_ns,
             cfg,
+            None,
             0,
         );
         print_curve(net, &curve);

@@ -13,7 +13,7 @@
 //! runs one load sweep under Valiant routing four ways —
 //! the serial engine, the 2-shard and 3-shard engines through the
 //! serial sweep harness, and the 2-shard engine fanned across the
-//! worker pool at two different thread budgets (which `par_load_sweep*`
+//! worker pool at two different thread budgets (which the sweep pool
 //! splits between point workers and shards, DESIGN.md §14) — builds the
 //! same run manifest from each, and asserts every manifest is
 //! byte-identical to the serial one. The written file (default
@@ -59,7 +59,7 @@ fn main() {
 
     let mut cfg = params.sim;
     cfg.shards = 1;
-    let serial = load_sweep_collect(
+    let serial = sweep(
         &net,
         &policy,
         &pattern,
@@ -67,6 +67,8 @@ fn main() {
         params.duration_ns,
         params.warmup_ns,
         cfg,
+        Observers::default(),
+        1,
     );
     let serial_json = manifest_of(&serial).to_json();
 
@@ -75,7 +77,7 @@ fn main() {
     for shards in [2u32, 3] {
         let mut cfg = params.sim;
         cfg.shards = shards;
-        let sharded = load_sweep_collect(
+        let sharded = sweep(
             &net,
             &policy,
             &pattern,
@@ -83,6 +85,8 @@ fn main() {
             params.duration_ns,
             params.warmup_ns,
             cfg,
+            Observers::default(),
+            1,
         );
         let json = manifest_of(&sharded).to_json();
         assert_eq!(
@@ -102,7 +106,7 @@ fn main() {
     cfg.shards = 2;
     let mut final_manifest = None;
     for threads in [2usize, 6] {
-        let par = par_load_sweep_collect(
+        let par = sweep(
             &net,
             &policy,
             &pattern,
@@ -110,6 +114,7 @@ fn main() {
             params.duration_ns,
             params.warmup_ns,
             cfg,
+            Observers::default(),
             threads,
         );
         let json = manifest_of(&par).to_json();

@@ -47,32 +47,29 @@ fn main() {
     }
 
     // 3. Simulate 30 us of global uniform traffic at 60% load under
-    //    adaptive (UGAL-L) routing.
+    //    adaptive (UGAL-L) routing. `run` takes a workload spec and an
+    //    observer bundle; here the routing-decision ledger counts how
+    //    often UGAL-L sent a packet the long way round.
     println!("\nuniform traffic at 60% load, UGAL-L adaptive routing:");
     println!(
         "{:14} | {:>9} | {:>12} | {:>9}",
-        "topology", "accepted", "avg delay ns", "indirect%"
+        "topology", "accepted", "avg delay ns", "misroute%"
     );
     println!("{}", "-".repeat(55));
+    let work = Synthetic::new(&SyntheticPattern::Uniform, 0.6, 30_000, 6_000);
+    let obs = Observers::ledgered(LedgerConfig::default());
     for net in nets.iter().take(3) {
         let (_, algo) = best_adaptive(net);
         let policy = RoutePolicy::new(net, algo);
-        let stats = run_synthetic(
-            net,
-            &policy,
-            &SyntheticPattern::Uniform,
-            0.6,
-            30_000,
-            6_000,
-            SimConfig::default(),
-        );
+        let out = run(net, &policy, &work, SimConfig::default(), obs).expect("valid config");
+        let (stats, ledger) = (out.stats, out.ledger.expect("ledger attached"));
         assert!(!stats.deadlocked);
         println!(
             "{:14} | {:>9.4} | {:>12.1} | {:>8.1}%",
             net.name(),
             stats.throughput,
             stats.avg_delay_ns,
-            100.0 * stats.indirect_packets as f64 / stats.delivered_packets.max(1) as f64,
+            100.0 * ledger.indirect as f64 / ledger.decisions.max(1) as f64,
         );
     }
 

@@ -25,16 +25,15 @@ fn healthy_run() {
     println!("== 1. Probed Slim Fly (q=5), uniform traffic at 0.7 load ==\n");
     let net = slim_fly(5, SlimFlyP::Floor);
     let policy = RoutePolicy::new(&net, Algorithm::Minimal);
-    let (stats, report) = run_synthetic_probed(
+    let (stats, report) = run(
         &net,
         &policy,
-        &SyntheticPattern::Uniform,
-        0.7,
-        100_000,
-        20_000,
+        &Synthetic::new(&SyntheticPattern::Uniform, 0.7, 100_000, 20_000),
         SimConfig::default(),
-        ProbeConfig::default(),
-    );
+        Observers::probed(ProbeConfig::default()),
+    )
+    .map(|r| (r.stats, r.telemetry.expect("probe was attached")))
+    .unwrap();
     println!(
         "throughput {:.3}, avg delay {:.0} ns, {} samples at {} ns",
         stats.throughput,
@@ -103,16 +102,15 @@ fn forced_deadlock() {
     // other around the ring and the single virtual network cannot break
     // the cycle.
     let pattern = SyntheticPattern::Permutation(vec![2, 3, 4, 0, 1]);
-    let (stats, report) = run_synthetic_probed(
+    let (stats, report) = run(
         &net,
         &policy,
-        &pattern,
-        1.0,
-        50_000,
-        0,
+        &Synthetic::new(&pattern, 1.0, 50_000, 0),
         cfg,
-        ProbeConfig::default(),
-    );
+        Observers::probed(ProbeConfig::default()),
+    )
+    .map(|r| (r.stats, r.telemetry.expect("probe was attached")))
+    .unwrap();
     println!(
         "deadlocked = {}, delivered {} packets before wedging\n",
         stats.deadlocked, stats.delivered_packets
@@ -129,7 +127,7 @@ fn manifest() {
     let net = mlfm(4);
     let policy = RoutePolicy::new(&net, Algorithm::Minimal);
     let cfg = SimConfig::default();
-    let points = load_sweep_probed(
+    let out = sweep(
         &net,
         &policy,
         &SyntheticPattern::Uniform,
@@ -137,8 +135,11 @@ fn manifest() {
         30_000,
         6_000,
         cfg,
-        ProbeConfig::default(),
+        Observers::probed(ProbeConfig::default()),
+        1,
     );
+    out.print_notices();
+    let points = out.points;
     let mut m = RunManifest::new(
         "telemetry_probe demo sweep",
         &net,

@@ -119,7 +119,7 @@ fn ugal_envelope_contains_measured_uniform_saturation() {
         let pa = analyze_policy(&net, &policy, &tm, &LatencyModel::paper_default())
             .expect("pristine network analyzes");
         assert!(pa.saturation_lo <= pa.saturation_hi);
-        let outcome = load_sweep_collect(
+        let outcome = sweep(
             &net,
             &policy,
             &SyntheticPattern::Uniform,
@@ -127,6 +127,8 @@ fn ugal_envelope_contains_measured_uniform_saturation() {
             30_000,
             6_000,
             SimConfig::default(),
+            Observers::default(),
+            1,
         );
         let measured = measured_saturation(&outcome);
         let (summary, diags) = divergence_gate("uniform", &pa, measured, None, &gate_cfg);

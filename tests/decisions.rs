@@ -26,13 +26,34 @@ const LOADS: [f64; 3] = [0.2, 0.5, 0.8];
 const DURATION_NS: u64 = 20_000;
 const WARMUP_NS: u64 = 4_000;
 
+/// A sweep over `LOADS` on `threads` workers.
+fn swept(
+    net: &Network,
+    policy: &RoutePolicy,
+    pattern: &SyntheticPattern,
+    obs: Observers,
+    threads: usize,
+) -> SweepOutcome {
+    let cfg = SimConfig::default();
+    sweep(
+        net,
+        policy,
+        pattern,
+        &LOADS,
+        DURATION_NS,
+        WARMUP_NS,
+        cfg,
+        obs,
+        threads,
+    )
+}
+
 fn ledgered_manifest(
     net: &Network,
     algo: Algorithm,
     routing: &str,
     lc: LedgerConfig,
     out: &SweepOutcome,
-    ledgers: &[PointLedger],
 ) -> String {
     let mut m = RunManifest::new(
         format!("{routing} decisions"),
@@ -45,7 +66,7 @@ fn ledgered_manifest(
     );
     m.set_algorithm(algo);
     m.push_notices(&out.notices);
-    m.set_decisions(DecisionsManifest::from_points(lc, ledgers));
+    m.set_decisions(DecisionsManifest::from_points(lc, &out.ledgers));
     m.push_curve(Curve {
         label: routing.to_string(),
         points: out.points.clone(),
@@ -60,17 +81,15 @@ fn ledger_does_not_perturb_stats() {
     let (net, policy) = fixture();
     let cfg = SimConfig::default();
     let pattern = worst_case(&net);
-    let plain = load_sweep_collect(&net, &policy, &pattern, &LOADS, DURATION_NS, WARMUP_NS, cfg);
-    let (ledgered, ledgers) = load_sweep_ledgered_collect(
+    let plain = swept(&net, &policy, &pattern, Observers::default(), 1);
+    let mut ledgered = swept(
         &net,
         &policy,
         &pattern,
-        &LOADS,
-        DURATION_NS,
-        WARMUP_NS,
-        cfg,
-        LedgerConfig::default(),
+        Observers::ledgered(LedgerConfig::default()),
+        1,
     );
+    let ledgers = std::mem::take(&mut ledgered.ledgers);
     assert_eq!(
         plain, ledgered,
         "attaching the decision ledger must be invisible in the stats"
@@ -88,16 +107,15 @@ fn ledger_does_not_perturb_stats() {
 
     // Single-run entry point makes the same promise.
     let base = run_synthetic(&net, &policy, &pattern, 0.5, DURATION_NS, WARMUP_NS, cfg);
-    let (stats, ledger) = run_synthetic_ledgered(
+    let (stats, ledger) = run(
         &net,
         &policy,
-        &pattern,
-        0.5,
-        DURATION_NS,
-        WARMUP_NS,
+        &Synthetic::new(&pattern, 0.5, DURATION_NS, WARMUP_NS),
         cfg,
-        LedgerConfig::default(),
-    );
+        Observers::ledgered(LedgerConfig::default()),
+    )
+    .map(|r| (r.stats, r.ledger.expect("ledger was attached")))
+    .unwrap();
     assert_eq!(base, stats);
     assert!(ledger.decisions > 0);
 }
@@ -105,7 +123,6 @@ fn ledger_does_not_perturb_stats() {
 #[test]
 fn serial_and_parallel_ledgered_manifests_are_byte_identical() {
     let (net, policy) = fixture();
-    let cfg = SimConfig::default();
     let lc = LedgerConfig::default();
     let pattern = worst_case(&net);
     let algo = Algorithm::Ugal {
@@ -113,32 +130,16 @@ fn serial_and_parallel_ledgered_manifests_are_byte_identical() {
         c: 2.0,
         threshold: None,
     };
-    let (serial_out, serial) = load_sweep_ledgered_collect(
-        &net,
-        &policy,
-        &pattern,
-        &LOADS,
-        DURATION_NS,
-        WARMUP_NS,
-        cfg,
-        lc,
-    );
-    let ser_json = ledgered_manifest(&net, algo, "UGAL-L", lc, &serial_out, &serial);
+    let serial_out = swept(&net, &policy, &pattern, Observers::ledgered(lc), 1);
+    let ser_json = ledgered_manifest(&net, algo, "UGAL-L", lc, &serial_out);
     for threads in [2, 4] {
-        let (par_out, par) = par_load_sweep_ledgered_collect(
-            &net,
-            &policy,
-            &pattern,
-            &LOADS,
-            DURATION_NS,
-            WARMUP_NS,
-            cfg,
-            lc,
-            threads,
-        );
+        let par_out = swept(&net, &policy, &pattern, Observers::ledgered(lc), threads);
         assert_eq!(serial_out.points, par_out.points, "t={threads}");
-        assert_eq!(serial, par, "t={threads}: structured ledgers diverged");
-        let par_json = ledgered_manifest(&net, algo, "UGAL-L", lc, &par_out, &par);
+        assert_eq!(
+            serial_out.ledgers, par_out.ledgers,
+            "t={threads}: structured ledgers diverged"
+        );
+        let par_json = ledgered_manifest(&net, algo, "UGAL-L", lc, &par_out);
         assert_eq!(
             ser_json, par_json,
             "t={threads}: ledgered manifest bytes diverged"
@@ -154,36 +155,17 @@ fn choosing_is_rng_neutral_under_the_ledger_across_sweeps() {
     // parallel. (Per-call neutrality is pinned in the routing crate;
     // this is the whole-engine version.)
     let (net, policy) = fixture();
-    let cfg = SimConfig::default();
     let pattern = worst_case(&net);
-    let plain_par = par_load_sweep_collect(
-        &net,
-        &policy,
-        &pattern,
-        &LOADS,
-        DURATION_NS,
-        WARMUP_NS,
-        cfg,
-        2,
-    );
-    let (led_par, ledgers) = par_load_sweep_ledgered_collect(
-        &net,
-        &policy,
-        &pattern,
-        &LOADS,
-        DURATION_NS,
-        WARMUP_NS,
-        cfg,
-        LedgerConfig {
-            sample_rate: 1,
-            max_samples: 64,
-        },
-        2,
-    );
+    let plain_par = swept(&net, &policy, &pattern, Observers::default(), 2);
+    let lc = LedgerConfig {
+        sample_rate: 1,
+        max_samples: 64,
+    };
+    let led_par = swept(&net, &policy, &pattern, Observers::ledgered(lc), 2);
     assert_eq!(plain_par.points, led_par.points);
     // Sampling every flight with a tight cap truncates but must not
     // change the simulation either.
-    assert!(ledgers.iter().all(|p| p.ledger.samples_truncated));
+    assert!(led_par.ledgers.iter().all(|p| p.ledger.samples_truncated));
 }
 
 #[test]
@@ -192,26 +174,24 @@ fn probe_indirect_totals_agree_with_ledger_misroutes() {
     let cfg = SimConfig::default();
     let pattern = worst_case(&net);
     for load in [0.3, 0.7] {
-        let (pstats, report) = run_synthetic_probed(
+        let (pstats, report) = run(
             &net,
             &policy,
-            &pattern,
-            load,
-            DURATION_NS,
-            WARMUP_NS,
+            &Synthetic::new(&pattern, load, DURATION_NS, WARMUP_NS),
             cfg,
-            ProbeConfig::default(),
-        );
-        let (lstats, ledger) = run_synthetic_ledgered(
+            Observers::probed(ProbeConfig::default()),
+        )
+        .map(|r| (r.stats, r.telemetry.expect("probe was attached")))
+        .unwrap();
+        let (lstats, ledger) = run(
             &net,
             &policy,
-            &pattern,
-            load,
-            DURATION_NS,
-            WARMUP_NS,
+            &Synthetic::new(&pattern, load, DURATION_NS, WARMUP_NS),
             cfg,
-            LedgerConfig::default(),
-        );
+            Observers::ledgered(LedgerConfig::default()),
+        )
+        .map(|r| (r.stats, r.ledger.expect("ledger was attached")))
+        .unwrap();
         assert_eq!(pstats, lstats, "probe and ledger observe the same run");
         assert_eq!(
             report.total_indirect, ledger.indirect,
@@ -228,7 +208,6 @@ fn probe_indirect_totals_agree_with_ledger_misroutes() {
 #[test]
 fn manifest_decisions_section_roundtrips_and_compares() {
     let (net, policy_l) = fixture();
-    let cfg = SimConfig::default();
     let lc = LedgerConfig::default();
     let pattern = worst_case(&net);
     let algo_l = Algorithm::Ugal {
@@ -239,14 +218,11 @@ fn manifest_decisions_section_roundtrips_and_compares() {
     let algo_g = Algorithm::UgalG { n_i: 4, c: 2.0 };
     let policy_g = RoutePolicy::new(&net, algo_g);
 
-    let (out_l, led_l) = load_sweep_ledgered_collect(
-        &net, &policy_l, &pattern, &LOADS, DURATION_NS, WARMUP_NS, cfg, lc,
-    );
-    let (out_g, led_g) = load_sweep_ledgered_collect(
-        &net, &policy_g, &pattern, &LOADS, DURATION_NS, WARMUP_NS, cfg, lc,
-    );
-    let json_l = ledgered_manifest(&net, algo_l, "UGAL-L", lc, &out_l, &led_l);
-    let json_g = ledgered_manifest(&net, algo_g, "UGAL-G", lc, &out_g, &led_g);
+    let out_l = swept(&net, &policy_l, &pattern, Observers::ledgered(lc), 1);
+    let out_g = swept(&net, &policy_g, &pattern, Observers::ledgered(lc), 1);
+    let led_l = &out_l.ledgers;
+    let json_l = ledgered_manifest(&net, algo_l, "UGAL-L", lc, &out_l);
+    let json_g = ledgered_manifest(&net, algo_g, "UGAL-G", lc, &out_g);
 
     // Roundtrip: the digest must reproduce the ledger's exact numbers.
     let doc = Json::parse(&json_l).expect("manifest is valid JSON");
@@ -256,7 +232,7 @@ fn manifest_decisions_section_roundtrips_and_compares() {
     );
     let digest = digest_manifest(&doc, "L").expect("ledgered manifest digests");
     assert_eq!(digest.points.len(), led_l.len());
-    for (dp, lp) in digest.points.iter().zip(&led_l) {
+    for (dp, lp) in digest.points.iter().zip(led_l) {
         assert_eq!(dp.misroutes, lp.ledger.indirect);
         assert_eq!(dp.decisions, lp.ledger.decisions);
         assert_eq!(
@@ -279,7 +255,7 @@ fn manifest_decisions_section_roundtrips_and_compares() {
     }
 
     // The ledgered Perfetto export parses and carries decision events.
-    let trace = chrome_trace_json_ledgered("roundtrip", &[], &[], &led_l);
+    let trace = chrome_trace_json_ledgered("roundtrip", &[], &[], led_l);
     let tdoc = Json::parse(&trace).expect("ledgered export is valid JSON");
     let events = tdoc.get("traceEvents").and_then(|e| e.as_array()).unwrap();
     assert!(events

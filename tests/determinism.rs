@@ -1,21 +1,18 @@
-//! The PR's determinism gates, end to end:
+//! The determinism gates, end to end:
 //!
-//! 1. the parallel sweep harness (`par_load_sweep*`) must reproduce the
-//!    serial sweep **exactly** — full `SweepPoint` equality, notices
-//!    included — on every evaluation family, pattern, and probe mode;
-//! 2. the result must be invariant under the order in which the worker
-//!    pool completes points (property-tested over random permutations),
-//!    including through the early-abort watermark on a wedging config;
-//! 3. the calendar event queue must schedule byte-identically to the
+//! 1. every sweep must equal a per-point reference (below): one `run`
+//!    per point at its derived seed on one shard, every point after the
+//!    first genuine wedge stubbed. `sweep` at 1, 2 and 4 threads, under
+//!    shuffled work orders, with sharded points, and the supervised
+//!    sweep with no retries all match it exactly — points, notices,
+//!    traces and ledgers — on every evaluation family, pattern and
+//!    observer set, on a wedging config, and under injected panics;
+//! 2. the calendar event queue must schedule byte-identically to the
 //!    reference binary heap on full simulations, not just unit streams;
-//! 4. sweep points must equal standalone runs with the derived per-point
-//!    seeds — the guard that engine reuse (`Engine::reset`) leaks no
-//!    state between points;
-//! 5. the sharded runner (`run_synthetic_sharded*`) must be
-//!    byte-identical to serial at every shard count — stats, telemetry,
-//!    traces (modulo the queue-internal calendar counters, which are
-//!    shard-local by construction), ledgers, and faulted runs alike —
-//!    and sharded sweeps must equal serial sweeps point for point.
+//! 3. sharded runs (`SimConfig::shards`) must be byte-identical to
+//!    serial at every shard count — stats, telemetry, traces (modulo
+//!    the queue-internal calendar counters, which are shard-local by
+//!    construction), ledgers, and faulted runs alike.
 
 use d2net::prelude::*;
 use d2net::routing::{IntermediateSet, VcScheme};
@@ -29,53 +26,237 @@ fn families() -> Vec<Network> {
     vec![slim_fly(5, SlimFlyP::Floor), mlfm(4), oft(4)]
 }
 
-fn assert_outcomes_equal(serial: &SweepOutcome, par: &SweepOutcome, label: &str) {
-    assert_eq!(par.points, serial.points, "{label}: points diverged");
-    assert_eq!(par.notices, serial.notices, "{label}: notices diverged");
+fn with_shards(cfg: SimConfig, shards: u32) -> SimConfig {
+    SimConfig { shards, ..cfg }
+}
+
+fn sharded_cfg(shards: u32) -> SimConfig {
+    with_shards(SimConfig::default(), shards)
+}
+
+/// Every observer at its defaults.
+fn all_observers() -> Observers {
+    Observers {
+        probe: Some(ProbeConfig::default()),
+        trace: Some(TraceConfig::default()),
+        ledger: Some(LedgerConfig::default()),
+    }
+}
+
+/// One uniform-or-pattern sweep: everything but the harness knobs.
+struct Sweep<'a> {
+    net: &'a Network,
+    policy: &'a RoutePolicy,
+    pattern: &'a SyntheticPattern,
+    loads: &'a [f64],
+    duration_ns: u64,
+    warmup_ns: u64,
+    cfg: SimConfig,
+    obs: Observers,
+}
+
+impl Sweep<'_> {
+    fn run(&self, cfg: SimConfig, threads: usize) -> SweepOutcome {
+        let (dur, warm) = (self.duration_ns, self.warmup_ns);
+        let (net, policy, pattern, loads, obs) =
+            (self.net, self.policy, self.pattern, self.loads, self.obs);
+        sweep(net, policy, pattern, loads, dur, warm, cfg, obs, threads)
+    }
+
+    fn ordered(&self, threads: usize, order: &[usize]) -> SweepOutcome {
+        let (dur, warm) = (self.duration_ns, self.warmup_ns);
+        let (net, policy, pattern, loads, obs) =
+            (self.net, self.policy, self.pattern, self.loads, self.obs);
+        sweep_with_order(
+            net, policy, pattern, loads, dur, warm, self.cfg, obs, threads, order,
+        )
+    }
+
+    fn supervised(&self, threads: usize) -> SweepOutcome {
+        let sup = SuperviseConfig {
+            max_retries: 0,
+            threads,
+            ..SuperviseConfig::default()
+        };
+        let (dur, warm, hooks) = (self.duration_ns, self.warmup_ns, SuperviseHooks::default());
+        let (net, policy, pattern, loads, obs) =
+            (self.net, self.policy, self.pattern, self.loads, self.obs);
+        supervised_sweep(
+            net, policy, pattern, loads, dur, warm, self.cfg, obs, &sup, &hooks,
+        )
+        .outcome
+    }
+
+    /// The per-point reference every sweep is held to: `run` at
+    /// `point_seed(seed, idx)` on one shard, a panic caught into a
+    /// panicked stub, and every point after the first genuine wedge
+    /// stubbed without running.
+    fn reference(&self) -> SweepOutcome {
+        let mut out = SweepOutcome::default();
+        let mut wedged = false;
+        for (idx, &load) in self.loads.iter().enumerate() {
+            if wedged {
+                let stats = SyntheticStats::deadlocked_stub(load);
+                out.points.push(SweepPoint {
+                    load,
+                    stats,
+                    telemetry: None,
+                });
+                continue;
+            }
+            let cfg = SimConfig {
+                seed: point_seed(self.cfg.seed, idx),
+                shards: 1,
+                ..self.cfg
+            };
+            let work = Synthetic::new(self.pattern, load, self.duration_ns, self.warmup_ns);
+            let attempt = || run(self.net, self.policy, &work, cfg, self.obs);
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(attempt));
+            let r = match result {
+                Ok(r) => r.expect("reference points are valid"),
+                Err(payload) => {
+                    let msg = payload
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                        .unwrap_or_default();
+                    let text =
+                        format!("point at offered load {load:.3} panicked and was stubbed: {msg}");
+                    out.notices
+                        .push(SweepNotice::new("panicked", idx, load, text));
+                    let stats = SyntheticStats::panicked_stub(load);
+                    out.points.push(SweepPoint {
+                        load,
+                        stats,
+                        telemetry: None,
+                    });
+                    continue;
+                }
+            };
+            if r.stats.exhausted {
+                let text = format!(
+                    "run budget exhausted at offered load {load:.3}; partial measurements kept"
+                );
+                out.notices
+                    .push(SweepNotice::new("exhausted", idx, load, text));
+            }
+            if r.stats.deadlocked {
+                wedged = true;
+                let text = format!(
+                    "network wedged at offered load {load:.3}; \
+                     marking remaining loads deadlocked without simulating them"
+                );
+                out.notices
+                    .push(SweepNotice::new("wedged", idx, load, text));
+            }
+            if let Some(trace) = r.trace {
+                out.traces.push(PointTrace {
+                    index: idx,
+                    load,
+                    trace,
+                });
+            }
+            if let Some(ledger) = r.ledger {
+                out.ledgers.push(PointLedger {
+                    index: idx,
+                    load,
+                    ledger,
+                });
+            }
+            let telemetry = r.telemetry.map(|t| t.summary());
+            out.points.push(SweepPoint {
+                load,
+                stats: r.stats,
+                telemetry,
+            });
+        }
+        out
+    }
+
+    /// Asserts every harness reproduces [`Sweep::reference`]. Sharded
+    /// points are skipped under chaos (an armed fault fires on shard 0
+    /// only, so its timing is shard-dependent) and compared without the
+    /// calendar counters, which are shard-local;
+    /// `sharded_sweep_matches_serial_sweep_point_for_point` covers more
+    /// shard and thread counts.
+    fn assert_all_match_reference(&self, label: &str) -> SweepOutcome {
+        let want = self.reference();
+        for threads in [1, 2, 4] {
+            assert_eq!(
+                self.run(self.cfg, threads),
+                want,
+                "{label}: {threads} threads"
+            );
+        }
+        let n = self.loads.len();
+        let reversed: Vec<usize> = (0..n).rev().collect();
+        assert_eq!(self.ordered(2, &reversed), want, "{label}: reversed order");
+        assert_eq!(self.supervised(2), want, "{label}: supervised, no retries");
+        if self.cfg.chaos.is_none() {
+            let got = without_calendars(self.run(with_shards(self.cfg, 3), 2));
+            assert_eq!(got, without_calendars(want.clone()), "{label}: 3 shards");
+        }
+        want
+    }
+}
+
+/// The outcome with every trace's calendar counters removed.
+fn without_calendars(mut out: SweepOutcome) -> SweepOutcome {
+    for t in &mut out.traces {
+        t.trace.counters.calendar = None;
+    }
+    out
 }
 
 #[test]
 fn par_sweep_matches_serial_for_all_families_and_patterns() {
     let loads = load_grid(4);
-    let cfg = SimConfig::default();
     for net in families() {
         let policy = RoutePolicy::new(&net, Algorithm::Minimal);
-        for (pattern, tag) in [
-            (SyntheticPattern::Uniform, "UNI"),
-            (worst_case(&net), "WC"),
-        ] {
-            let serial =
-                load_sweep_collect(&net, &policy, &pattern, &loads, 20_000, 4_000, cfg);
-            let par = par_load_sweep_collect(
-                &net, &policy, &pattern, &loads, 20_000, 4_000, cfg, 3,
-            );
-            assert_outcomes_equal(&serial, &par, &format!("{} {tag}", net.name()));
+        for (pattern, tag) in [(SyntheticPattern::Uniform, "UNI"), (worst_case(&net), "WC")] {
+            let label = format!("{} {tag}", net.name());
+            let out = Sweep {
+                net: &net,
+                policy: &policy,
+                pattern: &pattern,
+                loads: &loads,
+                duration_ns: 10_000,
+                warmup_ns: 2_000,
+                cfg: SimConfig::default(),
+                obs: Observers::default(),
+            }
+            .assert_all_match_reference(&label);
             // These configs are certified: nothing may wedge, so the
             // parity above covers fully simulated sweeps.
-            assert!(serial.notices.is_empty(), "{} {tag}", net.name());
+            assert!(out.notices.is_empty(), "{label}");
         }
     }
 }
 
 #[test]
 fn par_probed_sweep_matches_serial_with_telemetry() {
-    let loads = load_grid(3);
-    let cfg = SimConfig::default();
-    let probe = ProbeConfig::default();
+    let sf = slim_fly(5, SlimFlyP::Floor);
     for (net, pattern) in [
         (mlfm(4), SyntheticPattern::Uniform),
-        (slim_fly(5, SlimFlyP::Floor), worst_case(&slim_fly(5, SlimFlyP::Floor))),
+        (sf.clone(), worst_case(&sf)),
     ] {
-        let policy = RoutePolicy::new(&net, Algorithm::Minimal);
-        let serial = load_sweep_probed_collect(
-            &net, &policy, &pattern, &loads, 20_000, 4_000, cfg, probe,
-        );
-        let par = par_load_sweep_probed_collect(
-            &net, &policy, &pattern, &loads, 20_000, 4_000, cfg, probe, 3,
-        );
-        assert_outcomes_equal(&serial, &par, &net.name());
-        // Probed points must actually carry telemetry on both sides.
-        assert!(serial.points.iter().all(|p| p.telemetry.is_some()));
+        let policy = RoutePolicy::new(&net, best_adaptive(&net).1);
+        let out = Sweep {
+            net: &net,
+            policy: &policy,
+            pattern: &pattern,
+            loads: &load_grid(3),
+            duration_ns: 20_000,
+            warmup_ns: 4_000,
+            cfg: SimConfig::default(),
+            obs: all_observers(),
+        }
+        .assert_all_match_reference(&net.name());
+        // Every simulated point carries every observer's output.
+        assert!(out.points.iter().all(|p| p.telemetry.is_some()));
+        assert_eq!(out.traces.len(), 3);
+        assert_eq!(out.ledgers.len(), 3);
+        assert!(out.ledgers.iter().all(|p| p.ledger.decisions > 0));
     }
 }
 
@@ -121,8 +302,8 @@ fn calendar_queue_matches_heap_on_exchanges() {
 }
 
 /// The canonical wedging config (single-VC 5-ring, tiny buffers): the
-/// early-abort path must agree between serial and parallel, notice and
-/// stubbed tail included, for any completion order.
+/// early-abort path must agree between the reference and every harness,
+/// notice and stubbed tail included, for any completion order.
 fn wedging_ring() -> (Network, RoutePolicy, SyntheticPattern, SimConfig) {
     let net = Network::from_parts(
         TopologyKind::Custom {
@@ -143,30 +324,73 @@ fn wedging_ring() -> (Network, RoutePolicy, SyntheticPattern, SimConfig) {
         preflight: Preflight::Off, // the wedge is the point here
         ..Default::default()
     };
-    (net, policy, SyntheticPattern::Permutation(vec![2, 3, 4, 0, 1]), cfg)
+    (
+        net,
+        policy,
+        SyntheticPattern::Permutation(vec![2, 3, 4, 0, 1]),
+        cfg,
+    )
 }
+
+const RING_LOADS: [f64; 4] = [0.25, 0.5, 0.75, 1.0];
 
 #[test]
 fn early_abort_parity_on_wedging_ring() {
     let (net, policy, pattern, cfg) = wedging_ring();
-    let loads = [0.25, 0.5, 0.75, 1.0];
-    let serial = load_sweep_collect(&net, &policy, &pattern, &loads, 50_000, 0, cfg);
-    assert_eq!(serial.notices.len(), 1, "the ring must wedge exactly once");
-    let w = serial.notices[0].index;
-    assert!(serial.points[w].stats.deadlocked);
-    assert!(serial.points[w..].iter().all(|p| p.stats.deadlocked));
-
-    let par = par_load_sweep_collect(&net, &policy, &pattern, &loads, 50_000, 0, cfg, 3);
-    assert_outcomes_equal(&serial, &par, "wedging ring");
+    let ring = Sweep {
+        net: &net,
+        policy: &policy,
+        pattern: &pattern,
+        loads: &RING_LOADS,
+        duration_ns: 50_000,
+        warmup_ns: 0,
+        cfg,
+        obs: all_observers(),
+    };
+    let out = ring.assert_all_match_reference("wedging ring");
+    assert_eq!(out.notices.len(), 1, "the ring must wedge exactly once");
+    assert_eq!(out.notices[0].code, "wedged");
+    let w = out.notices[0].index;
+    assert!(out.points[w..].iter().all(|p| p.stats.deadlocked));
+    assert_eq!(out.traces.len(), w + 1, "stubbed points carry no trace");
 
     // Adversarial completion orders around the watermark: highest-first
     // (workers hit wedged points before the low ones), and interleaved.
     for order in [vec![3usize, 2, 1, 0], vec![1, 3, 0, 2]] {
-        let out = par_load_sweep_with_order(
-            &net, &policy, &pattern, &loads, 50_000, 0, cfg, 2, &order,
-        );
-        assert_outcomes_equal(&serial, &out, &format!("order {order:?}"));
+        assert_eq!(ring.ordered(2, &order), out, "order {order:?}");
     }
+}
+
+/// An armed chaos panic (every point panics once it has popped enough
+/// events) isolates each panicking point into a coded stub: low loads
+/// finish before the fire point, high loads panic, and no panic arms
+/// the wedge early-abort.
+#[test]
+fn chaos_panics_match_the_reference_at_every_thread_count() {
+    let net = mlfm(4);
+    let policy = RoutePolicy::new(&net, Algorithm::Minimal);
+    let cfg = SimConfig {
+        chaos: Some(EngineChaos {
+            kind: ChaosKind::Panic,
+            after_events: 40_000,
+        }),
+        ..SimConfig::default()
+    };
+    let out = Sweep {
+        net: &net,
+        policy: &policy,
+        pattern: &SyntheticPattern::Uniform,
+        loads: &[0.05, 0.1, 0.8, 1.0],
+        duration_ns: 10_000,
+        warmup_ns: 2_000,
+        cfg,
+        obs: Observers::ledgered(LedgerConfig::default()),
+    }
+    .assert_all_match_reference("chaos panics");
+    assert!(out.notices.iter().all(|n| n.code == "panicked"));
+    assert!(!out.notices.is_empty(), "the high loads must panic");
+    assert!(out.notices.len() < 4, "the low loads must finish");
+    assert_eq!(out.ledgers.len(), 4 - out.notices.len());
 }
 
 #[test]
@@ -175,17 +399,15 @@ fn sweep_points_equal_standalone_runs_with_derived_seeds() {
     let policy = RoutePolicy::new(&net, Algorithm::Minimal);
     let loads = [0.3, 0.7, 1.0];
     let base = SimConfig::default();
-    let swept = load_sweep(
-        &net, &policy, &SyntheticPattern::Uniform, &loads, 20_000, 4_000, base,
-    );
-    for (i, (point, &load)) in swept.iter().zip(&loads).enumerate() {
+    let pattern = SyntheticPattern::Uniform;
+    let obs = Observers::default();
+    let swept = sweep(&net, &policy, &pattern, &loads, 20_000, 4_000, base, obs, 1);
+    for (i, (point, &load)) in swept.points.iter().zip(&loads).enumerate() {
         let cfg = SimConfig {
             seed: point_seed(base.seed, i),
             ..base
         };
-        let standalone = run_synthetic(
-            &net, &policy, &SyntheticPattern::Uniform, load, 20_000, 4_000, cfg,
-        );
+        let standalone = run_synthetic(&net, &policy, &pattern, load, 20_000, 4_000, cfg);
         assert_eq!(
             point.stats, standalone,
             "point {i}: engine reuse leaked state between sweep points"
@@ -194,28 +416,52 @@ fn sweep_points_equal_standalone_runs_with_derived_seeds() {
 }
 
 /// The resilience sweep (fault sampling + table repair + degraded
-/// simulation per point) must be byte-identical between the serial and
-/// parallel harness on every evaluation family.
+/// simulation per point) must be byte-identical at every thread count
+/// on every evaluation family.
 #[test]
 fn resilience_sweep_serial_matches_parallel_across_families() {
     let fractions = failure_fractions(0.10, 3);
     let cfg = SimConfig::default();
+    let pattern = SyntheticPattern::Uniform;
     for net in families() {
-        let serial = resilience_sweep(
-            &net, Algorithm::Minimal, &SyntheticPattern::Uniform, 0.3, &fractions,
-            20_000, 4_000, cfg,
+        let curve = |threads| {
+            let (alg, frac) = (Algorithm::Minimal, &fractions);
+            resilience_sweep(
+                &net, alg, &pattern, 0.3, frac, 20_000, 4_000, cfg, None, threads,
+            )
+            .0
+        };
+        let serial = curve(1);
+        assert_eq!(
+            serial,
+            curve(3),
+            "{}: resilience sweeps diverged",
+            net.name()
         );
-        let par = resilience_sweep_par(
-            &net, Algorithm::Minimal, &SyntheticPattern::Uniform, 0.3, &fractions,
-            20_000, 4_000, cfg, 3,
-        );
-        assert_eq!(serial, par, "{}: resilience sweeps diverged", net.name());
         assert!(
             serial.points.iter().all(|p| !p.stats.deadlocked),
             "{}: a repaired point wedged",
             net.name()
         );
     }
+}
+
+/// One traced uniform run at load 0.7.
+fn traced_run(
+    net: &Network,
+    policy: &RoutePolicy,
+    cfg: SimConfig,
+) -> (SyntheticStats, EngineTrace) {
+    let work = Synthetic::new(&SyntheticPattern::Uniform, 0.7, 20_000, 4_000);
+    let r = run(
+        net,
+        policy,
+        &work,
+        cfg,
+        Observers::traced(TraceConfig::default()),
+    )
+    .unwrap();
+    (r.stats, r.trace.unwrap())
 }
 
 /// The traced engine exposes the calendar queue's internals read-only,
@@ -228,30 +474,26 @@ fn resilience_sweep_serial_matches_parallel_across_families() {
 fn calendar_queue_counters_cross_check_against_heap() {
     for net in families() {
         let policy = RoutePolicy::new(&net, Algorithm::Minimal);
-        let run = |queue: EventQueueKind| {
+        let traced = |queue: EventQueueKind| {
             let cfg = SimConfig {
                 event_queue: queue,
                 ..Default::default()
             };
-            run_synthetic_traced(
-                &net,
-                &policy,
-                &SyntheticPattern::Uniform,
-                0.7,
-                30_000,
-                6_000,
-                cfg,
-                TraceConfig::default(),
-            )
+            traced_run(&net, &policy, cfg)
         };
-        let (cal_stats, cal_trace) = run(EventQueueKind::Calendar);
-        let (heap_stats, heap_trace) = run(EventQueueKind::Heap);
+        let (cal_stats, cal_trace) = traced(EventQueueKind::Calendar);
+        let (heap_stats, heap_trace) = traced(EventQueueKind::Heap);
         assert_eq!(cal_stats, heap_stats, "{}: stats diverged", net.name());
 
         let cal = cal_trace.counters;
         let heap = heap_trace.counters;
         assert_eq!(cal.events_popped, heap.events_popped, "{}", net.name());
-        assert_eq!(cal.events_scheduled, heap.events_scheduled, "{}", net.name());
+        assert_eq!(
+            cal.events_scheduled,
+            heap.events_scheduled,
+            "{}",
+            net.name()
+        );
         assert_eq!(cal.in_q_pushes, heap.in_q_pushes, "{}", net.name());
         assert_eq!(cal.out_q_pushes, heap.out_q_pushes, "{}", net.name());
         assert_eq!(cal.blocked_entries, heap.blocked_entries, "{}", net.name());
@@ -270,29 +512,45 @@ fn calendar_queue_counters_cross_check_against_heap() {
     }
 }
 
+/// A faulted uniform run: a link fails at 8 µs and an endpoint router
+/// at 16 µs (`router_too`), or only the link.
+fn faulted_run(
+    net: &Network,
+    cfg: SimConfig,
+    router_too: bool,
+    obs: Observers,
+) -> Run<SyntheticStats> {
+    let victim = net.neighbors(0)[0];
+    let mut schedule = FaultSchedule::new().at(8_000, FaultSet::new().fail_link(0, victim).clone());
+    if router_too {
+        schedule = schedule.at(
+            16_000,
+            FaultSet::new()
+                .fail_router(net.endpoint_routers()[0])
+                .clone(),
+        );
+    }
+    let policy = RoutePolicy::new(net, Algorithm::Minimal);
+    let work =
+        Synthetic::new(&SyntheticPattern::Uniform, 0.5, 40_000, 8_000).with_faults(&schedule);
+    run(net, &policy, &work, cfg, obs).expect("faulted run constructs")
+}
+
 /// Mid-run fault injection must not break queue-implementation parity:
 /// a faulted run schedules byte-identically on the calendar queue and
 /// the reference binary heap.
 #[test]
 fn calendar_queue_matches_heap_on_faulted_runs() {
     for net in families() {
-        let victim = net.neighbors(0)[0];
-        let schedule = FaultSchedule::new()
-            .at(8_000, FaultSet::new().fail_link(0, victim).clone())
-            .at(16_000, FaultSet::new().fail_router(net.endpoint_routers()[0]).clone());
-        let policy = RoutePolicy::new(&net, Algorithm::Minimal);
-        let run = |queue: EventQueueKind| {
+        let faulted = |queue: EventQueueKind| {
             let cfg = SimConfig {
                 event_queue: queue,
                 ..Default::default()
             };
-            run_synthetic_faulted(
-                &net, &policy, &SyntheticPattern::Uniform, &schedule, 0.5, 40_000, 8_000, cfg,
-            )
-            .expect("faulted run constructs")
+            faulted_run(&net, cfg, true, Observers::default()).stats
         };
-        let cal = run(EventQueueKind::Calendar);
-        let heap = run(EventQueueKind::Heap);
+        let cal = faulted(EventQueueKind::Calendar);
+        let heap = faulted(EventQueueKind::Heap);
         assert_eq!(cal, heap, "{}: queues disagree under faults", net.name());
         assert!(!cal.deadlocked, "{}: faulted run wedged", net.name());
         assert!(cal.delivered_packets > 0, "{}", net.name());
@@ -303,9 +561,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Scheduling independence: for a random permutation of the work
-    /// order and a random worker count, the parallel sweep returns the
-    /// same outcome as the serial sweep — on both a clean config and the
-    /// early-aborting wedged ring.
+    /// order and a random worker count, the sweep returns the reference
+    /// outcome — on both a clean config and the early-aborting wedged
+    /// ring.
     #[test]
     fn completion_order_never_changes_the_outcome(
         shuffle_seed in 0u64..1000,
@@ -317,30 +575,35 @@ proptest! {
         let net = mlfm(4);
         let policy = RoutePolicy::new(&net, Algorithm::Minimal);
         let loads = load_grid(4);
-        let cfg = SimConfig::default();
+        let clean = Sweep {
+            net: &net,
+            policy: &policy,
+            pattern: &SyntheticPattern::Uniform,
+            loads: &loads,
+            duration_ns: 10_000,
+            warmup_ns: 2_000,
+            cfg: SimConfig::default(),
+            obs: Observers::default(),
+        };
         let mut order: Vec<usize> = (0..loads.len()).collect();
         order.shuffle(&mut rng);
-        let serial = load_sweep_collect(
-            &net, &policy, &SyntheticPattern::Uniform, &loads, 10_000, 2_000, cfg,
-        );
-        let shuffled = par_load_sweep_with_order(
-            &net, &policy, &SyntheticPattern::Uniform, &loads, 10_000, 2_000, cfg,
-            threads, &order,
-        );
-        prop_assert_eq!(&serial.points, &shuffled.points);
-        prop_assert_eq!(&serial.notices, &shuffled.notices);
+        prop_assert_eq!(clean.ordered(threads, &order), clean.reference());
 
         // Wedging config: the watermark path must be order-blind too.
         let (net, policy, pattern, cfg) = wedging_ring();
-        let loads = [0.25, 0.5, 0.75, 1.0];
-        let mut order: Vec<usize> = (0..loads.len()).collect();
+        let ring = Sweep {
+            net: &net,
+            policy: &policy,
+            pattern: &pattern,
+            loads: &RING_LOADS,
+            duration_ns: 50_000,
+            warmup_ns: 0,
+            cfg,
+            obs: Observers::default(),
+        };
+        let mut order: Vec<usize> = (0..RING_LOADS.len()).collect();
         order.shuffle(&mut rng);
-        let serial = load_sweep_collect(&net, &policy, &pattern, &loads, 50_000, 0, cfg);
-        let shuffled = par_load_sweep_with_order(
-            &net, &policy, &pattern, &loads, 50_000, 0, cfg, threads, &order,
-        );
-        prop_assert_eq!(&serial.points, &shuffled.points);
-        prop_assert_eq!(&serial.notices, &shuffled.notices);
+        prop_assert_eq!(ring.ordered(threads, &order), ring.reference());
     }
 }
 
@@ -349,13 +612,6 @@ proptest! {
 // serial engine byte for byte at every shard count (see
 // `d2net_sim::shard` and DESIGN.md §14).
 // ---------------------------------------------------------------------
-
-fn sharded_cfg(shards: u32) -> SimConfig {
-    SimConfig {
-        shards,
-        ..SimConfig::default()
-    }
-}
 
 #[test]
 fn sharded_run_matches_serial_across_families_patterns_and_algorithms() {
@@ -366,15 +622,13 @@ fn sharded_run_matches_serial_across_families_patterns_and_algorithms() {
                 (SyntheticPattern::Uniform, 0.6, "UNI"),
                 (worst_case(&net), 0.9, "WC"),
             ] {
-                let serial = run_synthetic(
-                    &net, &policy, &pattern, load, 20_000, 4_000, sharded_cfg(1),
-                );
+                let at =
+                    |k| run_synthetic(&net, &policy, &pattern, load, 20_000, 4_000, sharded_cfg(k));
+                let serial = at(1);
                 for k in [2u32, 4, 7] {
-                    let sharded = run_synthetic_sharded(
-                        &net, &policy, &pattern, load, 20_000, 4_000, sharded_cfg(k),
-                    );
                     assert_eq!(
-                        sharded, serial,
+                        at(k),
+                        serial,
                         "{} {alg:?} {tag}: {k} shards diverged from serial",
                         net.name()
                     );
@@ -384,40 +638,63 @@ fn sharded_run_matches_serial_across_families_patterns_and_algorithms() {
     }
 }
 
+/// A run of `pattern` at `load` on `k` shards with `obs` attached.
+fn observed_run(
+    net: &Network,
+    policy: &RoutePolicy,
+    pattern: &SyntheticPattern,
+    load: f64,
+    cfg: SimConfig,
+    obs: Observers,
+) -> Run<SyntheticStats> {
+    run(
+        net,
+        policy,
+        &Synthetic::new(pattern, load, 20_000, 4_000),
+        cfg,
+        obs,
+    )
+    .unwrap()
+}
+
 /// Adaptive (UGAL) routing consults buffer occupancies and the per-node
 /// RNG on every injection — the strongest exercise of the claim that
-/// shard-local state reproduces the serial decision stream.
+/// shard-local state reproduces the serial decision stream. The ledger
+/// records that stream.
 #[test]
 fn sharded_run_matches_serial_under_adaptive_routing() {
     let net = slim_fly(5, SlimFlyP::Floor);
     let policy = RoutePolicy::new(&net, best_adaptive(&net).1);
     let pattern = worst_case(&net);
-    let serial = run_synthetic(&net, &policy, &pattern, 0.8, 20_000, 4_000, sharded_cfg(1));
+    let obs = Observers::ledgered(LedgerConfig::default());
+    let serial = observed_run(&net, &policy, &pattern, 0.8, sharded_cfg(1), obs);
+    assert!(
+        serial.ledger.as_ref().unwrap().decisions > 0,
+        "ledger must see decisions"
+    );
     for k in [2u32, 5] {
-        let sharded =
-            run_synthetic_sharded(&net, &policy, &pattern, 0.8, 20_000, 4_000, sharded_cfg(k));
+        let sharded = observed_run(&net, &policy, &pattern, 0.8, sharded_cfg(k), obs);
         assert_eq!(sharded, serial, "{k} shards diverged under UGAL");
     }
 }
 
 #[test]
 fn sharded_probed_run_matches_serial_telemetry_exactly() {
-    let probe = ProbeConfig::default();
+    let obs = Observers::probed(ProbeConfig::default());
     for net in [mlfm(4), oft(4)] {
         let policy = RoutePolicy::new(&net, Algorithm::Minimal);
-        let (serial_stats, serial_tel) = run_synthetic_probed(
-            &net, &policy, &SyntheticPattern::Uniform, 0.7, 20_000, 4_000,
-            sharded_cfg(1), probe,
-        );
+        let pattern = SyntheticPattern::Uniform;
+        let serial = observed_run(&net, &policy, &pattern, 0.7, sharded_cfg(1), obs);
         for k in [2u32, 4] {
-            let (stats, tel) = run_synthetic_sharded_probed(
-                &net, &policy, &SyntheticPattern::Uniform, 0.7, 20_000, 4_000,
-                sharded_cfg(k), probe,
+            let sharded = observed_run(&net, &policy, &pattern, 0.7, sharded_cfg(k), obs);
+            assert_eq!(
+                sharded,
+                serial,
+                "{}: {k}-shard stats and telemetry",
+                net.name()
             );
-            assert_eq!(stats, serial_stats, "{}: {k}-shard stats", net.name());
-            assert_eq!(tel, serial_tel, "{}: {k}-shard telemetry", net.name());
         }
-        assert!(serial_tel.num_samples > 0);
+        assert!(serial.telemetry.unwrap().num_samples > 0);
     }
 }
 
@@ -425,15 +702,9 @@ fn sharded_probed_run_matches_serial_telemetry_exactly() {
 fn sharded_traced_run_matches_serial_modulo_calendar_internals() {
     for net in families() {
         let policy = RoutePolicy::new(&net, Algorithm::Minimal);
-        let (serial_stats, mut serial_trace) = run_synthetic_traced(
-            &net, &policy, &SyntheticPattern::Uniform, 0.7, 20_000, 4_000,
-            sharded_cfg(1), TraceConfig::default(),
-        );
+        let (serial_stats, mut serial_trace) = traced_run(&net, &policy, sharded_cfg(1));
         for k in [2u32, 4] {
-            let (stats, mut trace) = run_synthetic_sharded_traced(
-                &net, &policy, &SyntheticPattern::Uniform, 0.7, 20_000, 4_000,
-                sharded_cfg(k), TraceConfig::default(),
-            );
+            let (stats, mut trace) = traced_run(&net, &policy, sharded_cfg(k));
             assert_eq!(stats, serial_stats, "{}: {k}-shard stats", net.name());
             // The calendar's ring/drain/overflow split and day-jump
             // count depend on each queue's local contents, so they are
@@ -452,40 +723,22 @@ fn sharded_ledgered_run_matches_serial_ledger_exactly() {
     let net = slim_fly(5, SlimFlyP::Floor);
     let policy = RoutePolicy::new(&net, best_adaptive(&net).1);
     let pattern = worst_case(&net);
-    let (serial_stats, serial_led) = run_synthetic_ledgered(
-        &net, &policy, &pattern, 0.8, 20_000, 4_000, sharded_cfg(1),
-        LedgerConfig::default(),
-    );
-    assert!(serial_led.decisions > 0, "ledger must see decisions");
+    let obs = Observers::ledgered(LedgerConfig::default());
+    let plain = run_synthetic(&net, &policy, &pattern, 0.8, 20_000, 4_000, sharded_cfg(1));
+    let serial = observed_run(&net, &policy, &pattern, 0.8, sharded_cfg(1), obs);
+    assert_eq!(serial.stats, plain, "the ledger must not perturb the run");
     for k in [2u32, 5] {
-        let (stats, led) = run_synthetic_sharded_ledgered(
-            &net, &policy, &pattern, 0.8, 20_000, 4_000, sharded_cfg(k),
-            LedgerConfig::default(),
-        );
-        assert_eq!(stats, serial_stats, "{k}-shard stats");
-        assert_eq!(led, serial_led, "{k}-shard ledger");
+        let sharded = observed_run(&net, &policy, &pattern, 0.8, sharded_cfg(k), obs);
+        assert_eq!(sharded.ledger, serial.ledger, "{k}-shard ledger");
     }
 }
 
 #[test]
 fn sharded_faulted_run_matches_serial_through_window_barriers() {
     for net in families() {
-        let victim = net.neighbors(0)[0];
-        let schedule = FaultSchedule::new()
-            .at(8_000, FaultSet::new().fail_link(0, victim).clone())
-            .at(16_000, FaultSet::new().fail_router(net.endpoint_routers()[0]).clone());
-        let policy = RoutePolicy::new(&net, Algorithm::Minimal);
-        let serial = run_synthetic_faulted(
-            &net, &policy, &SyntheticPattern::Uniform, &schedule, 0.5, 40_000, 8_000,
-            sharded_cfg(1),
-        )
-        .expect("faulted run constructs");
+        let serial = faulted_run(&net, sharded_cfg(1), true, Observers::default()).stats;
         for k in [2u32, 4] {
-            let sharded = run_synthetic_sharded_faulted(
-                &net, &policy, &SyntheticPattern::Uniform, &schedule, 0.5, 40_000, 8_000,
-                sharded_cfg(k),
-            )
-            .expect("sharded faulted run constructs");
+            let sharded = faulted_run(&net, sharded_cfg(k), true, Observers::default()).stats;
             assert_eq!(sharded, serial, "{}: {k} shards under faults", net.name());
         }
         assert!(serial.dropped_packets > 0 || serial.retried_packets > 0);
@@ -495,50 +748,43 @@ fn sharded_faulted_run_matches_serial_through_window_barriers() {
 #[test]
 fn sharded_faulted_probed_run_matches_serial_link_down_accounting() {
     let net = mlfm(4);
-    let victim = net.neighbors(0)[0];
-    let schedule =
-        FaultSchedule::new().at(8_000, FaultSet::new().fail_link(0, victim).clone());
-    let policy = RoutePolicy::new(&net, Algorithm::Minimal);
-    let probe = ProbeConfig::default();
-    let (serial_stats, serial_tel) = run_synthetic_faulted_probed(
-        &net, &policy, &SyntheticPattern::Uniform, &schedule, 0.5, 30_000, 6_000,
-        sharded_cfg(1), probe,
-    )
-    .expect("faulted probed run constructs");
-    assert!(serial_tel.total_link_down_events > 0);
+    let obs = Observers::probed(ProbeConfig::default());
+    let serial = faulted_run(&net, sharded_cfg(1), false, obs);
+    assert!(serial.telemetry.as_ref().unwrap().total_link_down_events > 0);
     for k in [2u32, 4] {
-        let (stats, tel) = run_synthetic_sharded_faulted_probed(
-            &net, &policy, &SyntheticPattern::Uniform, &schedule, 0.5, 30_000, 6_000,
-            sharded_cfg(k), probe,
-        )
-        .expect("sharded faulted probed run constructs");
-        assert_eq!(stats, serial_stats, "{k}-shard stats");
-        assert_eq!(tel, serial_tel, "{k}-shard telemetry under faults");
+        let sharded = faulted_run(&net, sharded_cfg(k), false, obs);
+        assert_eq!(
+            sharded, serial,
+            "{k}-shard stats and telemetry under faults"
+        );
     }
 }
 
 /// Sweeps pass the shard count through `PointRunner`: a sweep whose
-/// points run sharded must equal the serial sweep point for point (the
-/// sharded point substitutes the derived per-point seed, see
-/// `PointRunner::run_point`), in both the serial and parallel harness.
+/// points run sharded must equal the per-point reference (the sharded
+/// point substitutes the derived per-point seed, see
+/// `PointRunner::run_point`) at one and at several threads.
 #[test]
 fn sharded_sweep_matches_serial_sweep_point_for_point() {
     let loads = load_grid(4);
     let net = slim_fly(5, SlimFlyP::Floor);
     let policy = RoutePolicy::new(&net, Algorithm::Minimal);
-    let serial = load_sweep_collect(
-        &net, &policy, &SyntheticPattern::Uniform, &loads, 20_000, 4_000, sharded_cfg(1),
-    );
+    let uniform = Sweep {
+        net: &net,
+        policy: &policy,
+        pattern: &SyntheticPattern::Uniform,
+        loads: &loads,
+        duration_ns: 20_000,
+        warmup_ns: 4_000,
+        cfg: SimConfig::default(),
+        obs: Observers::probed(ProbeConfig::default()),
+    };
+    let want = uniform.reference();
     for k in [3u32, 4] {
-        let sharded = load_sweep_collect(
-            &net, &policy, &SyntheticPattern::Uniform, &loads, 20_000, 4_000, sharded_cfg(k),
-        );
-        assert_eq!(sharded.points, serial.points, "{k}-shard serial-harness sweep");
-        let par = par_load_sweep_collect(
-            &net, &policy, &SyntheticPattern::Uniform, &loads, 20_000, 4_000,
-            sharded_cfg(k), 4,
-        );
-        assert_eq!(par.points, serial.points, "{k}-shard parallel-harness sweep");
+        for threads in [1, 4] {
+            let got = uniform.run(sharded_cfg(k), threads);
+            assert_eq!(got, want, "{k}-shard sweep on {threads} threads");
+        }
     }
 }
 
@@ -547,18 +793,21 @@ fn sharded_sweep_matches_serial_sweep_point_for_point() {
 #[test]
 fn sharded_wedge_detection_matches_serial() {
     let (net, policy, pattern, cfg) = wedging_ring();
-    let probe = ProbeConfig::default();
-    let sharded_wedge_cfg = |k: u32| SimConfig { shards: k, ..cfg };
-    let (serial_stats, serial_tel) = run_synthetic_probed(
-        &net, &policy, &pattern, 1.0, 50_000, 0, sharded_wedge_cfg(1), probe,
-    );
-    assert!(serial_stats.deadlocked, "the ring must wedge");
+    let obs = Observers::probed(ProbeConfig::default());
+    let wedge = |k| {
+        run(
+            &net,
+            &policy,
+            &Synthetic::new(&pattern, 1.0, 50_000, 0),
+            with_shards(cfg, k),
+            obs,
+        )
+        .unwrap()
+    };
+    let serial = wedge(1);
+    assert!(serial.stats.deadlocked, "the ring must wedge");
     for k in [2u32, 5] {
-        let (stats, tel) = run_synthetic_sharded_probed(
-            &net, &policy, &pattern, 1.0, 50_000, 0, sharded_wedge_cfg(k), probe,
-        );
-        assert_eq!(stats, serial_stats, "{k}-shard wedge stats");
-        assert_eq!(tel, serial_tel, "{k}-shard wedge forensics");
+        assert_eq!(wedge(k), serial, "{k}-shard wedge stats and forensics");
     }
 }
 
@@ -578,44 +827,51 @@ fn exchanges(net: &Network) -> Vec<(d2net::traffic::Exchange, usize, &'static st
     vec![(a2a, 1, "A2A"), (nn, 6, "NN")]
 }
 
-/// Trace equality modulo the calendar's ring/drain/overflow split,
-/// which depends on each queue's local contents (see
+/// An exchange run with `obs` attached, its trace's calendar counters
+/// removed (they are shard-local, see
 /// `sharded_traced_run_matches_serial_modulo_calendar_internals`).
-fn without_calendar(mut trace: EngineTrace) -> EngineTrace {
-    assert!(trace.counters.calendar.take().is_some(), "calendar stats missing");
-    trace
+fn exchange_run(
+    net: &Network,
+    policy: &RoutePolicy,
+    exchange: &d2net::traffic::Exchange,
+    window: usize,
+    cfg: SimConfig,
+    obs: Observers,
+) -> Run<ExchangeStats> {
+    let mut r = run(net, policy, &ExchangeRun { exchange, window }, cfg, obs).unwrap();
+    if let Some(t) = &mut r.trace {
+        assert!(
+            t.counters.calendar.take().is_some(),
+            "calendar stats missing"
+        );
+    }
+    r
 }
 
 #[test]
 fn sharded_exchange_matches_serial_stats_telemetry_trace_and_ledger() {
-    let probe = ProbeConfig::default();
-    let ledger = LedgerConfig::default();
     for net in [slim_fly(5, SlimFlyP::Floor), mlfm(3), oft(3)] {
-        for alg in [Algorithm::Minimal, Algorithm::Valiant, best_adaptive(&net).1] {
+        for alg in [
+            Algorithm::Minimal,
+            Algorithm::Valiant,
+            best_adaptive(&net).1,
+        ] {
             let policy = RoutePolicy::new(&net, alg);
             for (ex, window, tag) in exchanges(&net) {
                 let label = format!("{} {alg:?} {tag}", net.name());
-                let run = |k: u32| {
-                    let cfg = sharded_cfg(k);
-                    let (stats, tel) = run_exchange_probed(&net, &policy, &ex, window, cfg, probe);
-                    let (t_stats, trace) = run_exchange_traced(
-                        &net, &policy, &ex, window, cfg, TraceConfig::default(),
-                    );
-                    let (l_stats, led) =
-                        run_exchange_ledgered(&net, &policy, &ex, window, cfg, ledger);
-                    assert_eq!(t_stats, stats, "{label}: traced stats at {k} shards");
-                    assert_eq!(l_stats, stats, "{label}: ledgered stats at {k} shards");
-                    (stats, tel, without_calendar(trace), led)
-                };
-                let serial = run(1);
-                assert!(!serial.0.deadlocked, "{label}: exchange must complete");
-                assert_eq!(serial.0.delivered_bytes, ex.total_bytes(), "{label}");
+                let at =
+                    |k| exchange_run(&net, &policy, &ex, window, sharded_cfg(k), all_observers());
+                let serial = at(1);
+                assert!(!serial.stats.deadlocked, "{label}: exchange must complete");
+                assert_eq!(serial.stats.delivered_bytes, ex.total_bytes(), "{label}");
+                let plain = run_exchange(&net, &policy, &ex, window, sharded_cfg(1));
+                assert_eq!(serial.stats, plain, "{label}: observers perturbed the run");
                 for k in [2u32, 3, 5] {
-                    let sharded = run(k);
-                    assert_eq!(sharded.0, serial.0, "{label}: {k}-shard stats");
-                    assert_eq!(sharded.1, serial.1, "{label}: {k}-shard telemetry");
-                    assert_eq!(sharded.2, serial.2, "{label}: {k}-shard trace");
-                    assert_eq!(sharded.3, serial.3, "{label}: {k}-shard ledger");
+                    assert_eq!(
+                        at(k),
+                        serial,
+                        "{label}: {k}-shard stats, telemetry, trace, ledger"
+                    );
                 }
             }
         }
@@ -641,17 +897,20 @@ fn sharded_exchange_wedge_matches_serial() {
             .collect(),
         label: "ring5 shift-2".into(),
     };
-    let probe = ProbeConfig::default();
-    let run = |k: u32| {
-        run_exchange_probed(&net, &policy, &ex, 1, SimConfig { shards: k, ..cfg }, probe)
-    };
-    let (serial_stats, serial_tel) = run(1);
-    assert!(serial_stats.deadlocked, "the ring exchange must wedge");
-    assert!(serial_tel.deadlock.is_some(), "serial forensics missing");
+    let obs = Observers::probed(ProbeConfig::default());
+    let at = |k| exchange_run(&net, &policy, &ex, 1, with_shards(cfg, k), obs);
+    let serial = at(1);
+    assert!(serial.stats.deadlocked, "the ring exchange must wedge");
+    assert!(
+        serial.telemetry.as_ref().unwrap().deadlock.is_some(),
+        "serial forensics missing"
+    );
     for k in [2u32, 3, 5] {
-        let (stats, tel) = run(k);
-        assert_eq!(stats, serial_stats, "{k}-shard wedged exchange stats");
-        assert_eq!(tel, serial_tel, "{k}-shard wedged exchange forensics");
+        assert_eq!(
+            at(k),
+            serial,
+            "{k}-shard wedged exchange stats and forensics"
+        );
     }
 }
 
@@ -663,13 +922,17 @@ fn sharded_exchange_wedge_matches_serial() {
 fn exchange_ledger_counts_every_decision_and_misroute() {
     for net in [mlfm(3), oft(3)] {
         let (_, alg) = best_adaptive(&net);
-        assert!(matches!(alg, Algorithm::Ugal { .. }), "{}: UGAL-L expected", net.name());
+        assert!(
+            matches!(alg, Algorithm::Ugal { .. }),
+            "{}: UGAL-L expected",
+            net.name()
+        );
         let policy = RoutePolicy::new(&net, alg);
         let ex = d2net::traffic::all_to_all_shuffled(net.num_nodes(), 7_500, 3);
-        let cfg = sharded_cfg(1);
-        let (stats, led) =
-            run_exchange_ledgered(&net, &policy, &ex, 1, cfg, LedgerConfig::default());
-        let packets = cfg.packet_bytes as u64;
+        let obs = Observers::ledgered(LedgerConfig::default());
+        let serial = exchange_run(&net, &policy, &ex, 1, sharded_cfg(1), obs);
+        let (stats, led) = (&serial.stats, serial.ledger.as_ref().unwrap());
+        let packets = SimConfig::default().packet_bytes as u64;
         let remote: u64 = ex
             .sends
             .iter()
@@ -680,12 +943,19 @@ fn exchange_ledger_counts_every_decision_and_misroute() {
             .sum();
         assert!(remote > 0);
         assert_eq!(led.decisions, remote, "{}: ledger decisions", net.name());
-        assert_eq!(led.indirect, stats.indirect_packets, "{}: ledger misroutes", net.name());
-        assert!(led.indirect > 0, "{}: UGAL-L must misroute some packets", net.name());
-        let (stats2, led2) =
-            run_exchange_ledgered(&net, &policy, &ex, 1, sharded_cfg(2), LedgerConfig::default());
-        assert_eq!(stats2, stats, "{}: 2-shard stats", net.name());
-        assert_eq!(led2, led, "{}: 2-shard ledger", net.name());
+        assert_eq!(
+            led.indirect,
+            stats.indirect_packets,
+            "{}: ledger misroutes",
+            net.name()
+        );
+        assert!(
+            led.indirect > 0,
+            "{}: UGAL-L must misroute some packets",
+            net.name()
+        );
+        let sharded = exchange_run(&net, &policy, &ex, 1, sharded_cfg(2), obs);
+        assert_eq!(sharded, serial, "{}: 2-shard stats and ledger", net.name());
     }
 }
 
@@ -709,7 +979,19 @@ fn heap_queue_and_global_ugal_keep_exchanges_serial() {
     assert_eq!(plan_shards(&net, &min, &heap), 1);
 
     let traced = |policy: &RoutePolicy, cfg: SimConfig| {
-        run_exchange_traced(&net, policy, &ex, 1, cfg, TraceConfig::default())
+        let work = ExchangeRun {
+            exchange: &ex,
+            window: 1,
+        };
+        let r = run(
+            &net,
+            policy,
+            &work,
+            cfg,
+            Observers::traced(TraceConfig::default()),
+        )
+        .unwrap();
+        (r.stats, r.trace.unwrap())
     };
     // Sharded: same stats, different calendar internals.
     let (serial_stats, serial_trace) = traced(&min, sharded_cfg(1));
@@ -724,29 +1006,27 @@ fn heap_queue_and_global_ugal_keep_exchanges_serial() {
     assert_eq!(trace, serial_trace, "UGAL-G exchange must stay serial");
 }
 
-/// Satellite regression: `Engine::reset` must rewind the calendar
-/// queue's diagnostic counters along with its contents — a traced sweep
-/// point's calendar stats must equal a standalone traced run's.
+/// `Engine::reset` must rewind the calendar queue's diagnostic counters
+/// along with its contents — a traced sweep point's calendar stats must
+/// equal a standalone traced run's.
 #[test]
 fn calendar_stats_reset_between_sweep_points() {
     let net = mlfm(4);
     let policy = RoutePolicy::new(&net, Algorithm::Minimal);
     let loads = [0.3, 0.7];
     let base = SimConfig::default();
-    let (outcome, traces) = load_sweep_traced_collect(
-        &net, &policy, &SyntheticPattern::Uniform, &loads, 20_000, 4_000, base,
-        TraceConfig::default(),
-    );
-    assert_eq!(traces.len(), loads.len());
-    for (i, (pt, &load)) in traces.iter().zip(&loads).enumerate() {
+    let pattern = SyntheticPattern::Uniform;
+    let obs = Observers::traced(TraceConfig::default());
+    let outcome = sweep(&net, &policy, &pattern, &loads, 20_000, 4_000, base, obs, 1);
+    assert_eq!(outcome.traces.len(), loads.len());
+    for (i, (pt, &load)) in outcome.traces.iter().zip(&loads).enumerate() {
         let cfg = SimConfig {
             seed: point_seed(base.seed, i),
             ..base
         };
-        let (_, standalone) = run_synthetic_traced(
-            &net, &policy, &SyntheticPattern::Uniform, load, 20_000, 4_000, cfg,
-            TraceConfig::default(),
-        );
+        let standalone = observed_run(&net, &policy, &pattern, load, cfg, obs)
+            .trace
+            .unwrap();
         assert_eq!(
             pt.trace.counters.calendar, standalone.counters.calendar,
             "point {i}: calendar stats leaked across Engine::reset"
@@ -770,12 +1050,7 @@ proptest! {
         let net = mlfm(4);
         let policy = RoutePolicy::new(&net, Algorithm::Minimal);
         let load = [0.3, 0.6, 1.0][load_idx];
-        let serial = run_synthetic(
-            &net, &policy, &SyntheticPattern::Uniform, load, 10_000, 2_000, sharded_cfg(1),
-        );
-        let sharded = run_synthetic_sharded(
-            &net, &policy, &SyntheticPattern::Uniform, load, 10_000, 2_000, sharded_cfg(k),
-        );
-        prop_assert_eq!(sharded, serial);
+        let at = |k| run_synthetic(&net, &policy, &SyntheticPattern::Uniform, load, 10_000, 2_000, sharded_cfg(k));
+        prop_assert_eq!(at(k), at(1));
     }
 }

@@ -120,16 +120,14 @@ proptest! {
                 FaultSet::sample_routers(&net, 0.05, seed ^ 0xbeef)
                     .merged(FaultSet::new().fail_link(routers + 7, routers + 8)),
             );
-        let stats = run_synthetic_faulted(
+        let stats = run(
             &net,
             &policy,
-            &SyntheticPattern::Uniform,
-            &schedule,
-            0.5,
-            50_000,
-            8_000,
+            &Synthetic::new(&SyntheticPattern::Uniform, 0.5, 50_000, 8_000).with_faults(&schedule),
             SimConfig::default(),
+            Observers::default(),
         )
+        .map(|r| r.stats)
         .expect("faulted run constructs");
         prop_assert!(!stats.deadlocked, "mid-run faults wedged the network");
         prop_assert!(stats.delivered_packets > 0);

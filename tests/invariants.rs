@@ -141,3 +141,63 @@ fn pipeline_is_deterministic() {
         assert_eq!(run(), run(), "{algo:?}");
     }
 }
+
+/// `run` reports every configuration problem as `Err`, never a panic:
+/// warm-up ≥ duration, buffers too small for one packet per VC, a
+/// preflight-enforced rejection (the single-VC ring's cyclic channel
+/// dependencies), and an exchange without a send list per node.
+#[test]
+fn run_returns_config_errors_instead_of_panicking() {
+    use d2net::routing::{IntermediateSet, VcScheme};
+    let net = mlfm(3);
+    let policy = RoutePolicy::new(&net, Algorithm::Minimal);
+    let uniform = SyntheticPattern::Uniform;
+    let ring = Network::from_parts(
+        d2net::topo::TopologyKind::Custom {
+            label: "ring5".into(),
+        },
+        vec![vec![1, 4], vec![0, 2], vec![1, 3], vec![2, 4], vec![0, 3]],
+        vec![1; 5],
+    );
+    let single_vc = RoutePolicy::with_overrides(
+        &ring,
+        Algorithm::Minimal,
+        VcScheme::SingleVc,
+        IntermediateSet::EndpointRouters,
+        false,
+    );
+    let short = all_to_all(net.num_nodes() - 1, 512);
+    let cfg = SimConfig::default();
+    let tiny_buffers = SimConfig {
+        buffer_bytes: 10,
+        ..cfg
+    };
+    let enforce = SimConfig {
+        preflight: Preflight::Enforce,
+        ..cfg
+    };
+    let no_obs = Observers::default();
+    let must_err = |label: &str, case: &dyn Fn() -> Result<(), String>| {
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(case));
+        let out = result.unwrap_or_else(|_| panic!("{label}: run panicked"));
+        assert!(out.is_err(), "{label}: run accepted the config");
+    };
+    let work = Synthetic::new(&uniform, 0.3, 5_000, 1_000);
+    let no_warmup_left = Synthetic::new(&uniform, 0.3, 5_000, 5_000);
+    must_err("warm-up >= duration", &|| {
+        run(&net, &policy, &no_warmup_left, cfg, no_obs).map(drop)
+    });
+    must_err("undersized buffers", &|| {
+        run(&net, &policy, &work, tiny_buffers, no_obs).map(drop)
+    });
+    must_err("enforced preflight on the single-VC ring", &|| {
+        run(&ring, &single_vc, &work, enforce, no_obs).map(drop)
+    });
+    let exchange = ExchangeRun {
+        exchange: &short,
+        window: 1,
+    };
+    must_err("exchange missing a node's send list", &|| {
+        run(&net, &policy, &exchange, cfg, no_obs).map(drop)
+    });
+}

@@ -88,7 +88,7 @@ fn memory_sink_events_are_coded_and_ordered() {
         }),
         threads: 0,
     };
-    let run = supervised_load_sweep_collect(
+    let run = supervised_sweep(
         &net,
         &policy,
         &pattern,
@@ -96,7 +96,9 @@ fn memory_sink_events_are_coded_and_ordered() {
         duration,
         warmup,
         SimConfig::default(),
+        Observers::default(),
         &sup,
+        &SuperviseHooks::default(),
     );
     assert_eq!(run.outcome.points.len(), loads.len());
     reset_obs();
@@ -145,7 +147,7 @@ fn file_sink_emits_parsable_jsonl_with_header() {
 
     obs::install_sink(obs::FileSink::create(&path).expect("create event log"));
     obs::enable();
-    let outcome = load_sweep_collect(
+    let outcome = sweep(
         &net,
         &policy,
         &pattern,
@@ -153,6 +155,8 @@ fn file_sink_emits_parsable_jsonl_with_header() {
         duration,
         warmup,
         SimConfig::default(),
+        Observers::default(),
+        1,
     );
     assert_eq!(outcome.points.len(), loads.len());
     reset_obs(); // drops the sink, flushing the file
@@ -205,7 +209,7 @@ fn progress_counters_match_supervision_summary_under_chaos() {
         }),
         threads: 0,
     };
-    let run = supervised_load_sweep_collect(
+    let run = supervised_sweep(
         &net,
         &policy,
         &pattern,
@@ -213,7 +217,9 @@ fn progress_counters_match_supervision_summary_under_chaos() {
         duration,
         warmup,
         SimConfig::default(),
+        Observers::default(),
         &sup,
+        &SuperviseHooks::default(),
     );
     let snap = obs::snapshot();
 
@@ -254,7 +260,17 @@ fn progress_counters_account_budget_exhaustion() {
         budget: RunBudget::events(500),
         ..SimConfig::default()
     };
-    let outcome = load_sweep_collect(&net, &policy, &pattern, &loads, duration, warmup, cfg);
+    let outcome = sweep(
+        &net,
+        &policy,
+        &pattern,
+        &loads,
+        duration,
+        warmup,
+        cfg,
+        Observers::default(),
+        1,
+    );
     assert_eq!(outcome.points.len(), loads.len());
     let snap = obs::snapshot();
     assert_eq!(snap.points_total, loads.len() as u64);
@@ -289,7 +305,7 @@ fn status_server_serves_valid_prometheus_exposition() {
     let (net, pattern, loads, duration, warmup) = fixture();
     let policy = RoutePolicy::new(&net, Algorithm::Minimal);
     obs::enable();
-    let outcome = load_sweep_collect(
+    let outcome = sweep(
         &net,
         &policy,
         &pattern,
@@ -297,6 +313,8 @@ fn status_server_serves_valid_prometheus_exposition() {
         duration,
         warmup,
         SimConfig::default(),
+        Observers::default(),
+        1,
     );
     assert_eq!(outcome.points.len(), loads.len());
 
@@ -358,7 +376,7 @@ fn results_identical_with_obs_on_and_off() {
     };
 
     let run_all = || {
-        let serial = load_sweep_collect(
+        let serial = sweep(
             &net,
             &policy,
             &pattern,
@@ -366,8 +384,10 @@ fn results_identical_with_obs_on_and_off() {
             duration,
             warmup,
             SimConfig::default(),
+            Observers::default(),
+            1,
         );
-        let par2 = par_load_sweep_collect(
+        let par2 = sweep(
             &net,
             &policy,
             &pattern,
@@ -375,9 +395,10 @@ fn results_identical_with_obs_on_and_off() {
             duration,
             warmup,
             SimConfig::default(),
+            Observers::default(),
             2,
         );
-        let par3 = par_load_sweep_collect(
+        let par3 = sweep(
             &net,
             &policy,
             &pattern,
@@ -385,9 +406,10 @@ fn results_identical_with_obs_on_and_off() {
             duration,
             warmup,
             SimConfig::default(),
+            Observers::default(),
             3,
         );
-        let sharded = load_sweep_collect(
+        let sharded = sweep(
             &net,
             &policy,
             &pattern,
@@ -395,8 +417,10 @@ fn results_identical_with_obs_on_and_off() {
             duration,
             warmup,
             sharded_cfg,
+            Observers::default(),
+            1,
         );
-        let supervised = supervised_load_sweep_collect(
+        let supervised = supervised_sweep(
             &net,
             &policy,
             &pattern,
@@ -404,7 +428,9 @@ fn results_identical_with_obs_on_and_off() {
             duration,
             warmup,
             SimConfig::default(),
+            Observers::default(),
             &sup,
+            &SuperviseHooks::default(),
         );
         (serial, par2, par3, sharded, supervised)
     };

@@ -49,8 +49,17 @@ fn chaos_sweep_completes_with_retries_or_coded_stubs() {
         chaos: Some(chaos),
         threads: 0,
     };
-    let run = supervised_load_sweep_collect(
-        &net, &policy, &pattern, &loads, duration, warmup, cfg, &sup,
+    let run = supervised_sweep(
+        &net,
+        &policy,
+        &pattern,
+        &loads,
+        duration,
+        warmup,
+        cfg,
+        Observers::default(),
+        &sup,
+        &SuperviseHooks::default(),
     );
     assert_eq!(run.outcome.points.len(), loads.len());
     assert_eq!(
@@ -71,8 +80,16 @@ fn chaos_sweep_completes_with_retries_or_coded_stubs() {
     // If every armed point recovered, the sweep must be byte-identical
     // to a clean unsupervised run.
     if run.summary.exhausted == 0 && run.summary.panicked == 0 {
-        let clean = par_load_sweep_collect(
-            &net, &policy, &pattern, &loads, duration, warmup, SimConfig::default(), 0,
+        let clean = sweep(
+            &net,
+            &policy,
+            &pattern,
+            &loads,
+            duration,
+            warmup,
+            SimConfig::default(),
+            Observers::default(),
+            0,
         );
         assert_eq!(run.outcome.points, clean.points);
         assert_eq!(run.outcome.notices, clean.notices);
@@ -105,16 +122,7 @@ fn supervised_manifests_match_serial_parallel_and_sharded() {
         m.to_json()
     };
 
-    let serial =
-        load_sweep_collect(&net, &policy, &pattern, &loads, duration, warmup, cfg);
-    let par =
-        par_load_sweep_collect(&net, &policy, &pattern, &loads, duration, warmup, cfg, 0);
-    let mut sharded_cfg = cfg;
-    sharded_cfg.shards = 2;
-    let sharded = load_sweep_collect(
-        &net, &policy, &pattern, &loads, duration, warmup, sharded_cfg,
-    );
-    let supervised = supervised_load_sweep_collect(
+    let serial = sweep(
         &net,
         &policy,
         &pattern,
@@ -122,7 +130,44 @@ fn supervised_manifests_match_serial_parallel_and_sharded() {
         duration,
         warmup,
         cfg,
+        Observers::default(),
+        1,
+    );
+    let par = sweep(
+        &net,
+        &policy,
+        &pattern,
+        &loads,
+        duration,
+        warmup,
+        cfg,
+        Observers::default(),
+        0,
+    );
+    let mut sharded_cfg = cfg;
+    sharded_cfg.shards = 2;
+    let sharded = sweep(
+        &net,
+        &policy,
+        &pattern,
+        &loads,
+        duration,
+        warmup,
+        sharded_cfg,
+        Observers::default(),
+        1,
+    );
+    let supervised = supervised_sweep(
+        &net,
+        &policy,
+        &pattern,
+        &loads,
+        duration,
+        warmup,
+        cfg,
+        Observers::default(),
         &SuperviseConfig::default(),
+        &SuperviseHooks::default(),
     );
 
     assert!(supervised.summary.is_trivial());
@@ -154,7 +199,7 @@ fn event_budget_exhaustion_is_coded_not_fatal() {
         budget: RunBudget::events(500),
         ..SimConfig::default()
     };
-    let run = supervised_load_sweep_collect(
+    let run = supervised_sweep(
         &net,
         &policy,
         &pattern,
@@ -162,11 +207,13 @@ fn event_budget_exhaustion_is_coded_not_fatal() {
         duration,
         warmup,
         cfg,
+        Observers::default(),
         &SuperviseConfig {
             max_retries: 1,
             backoff_base_ms: 1,
             ..SuperviseConfig::default()
         },
+        &SuperviseHooks::default(),
     );
     assert_eq!(run.summary.exhausted, loads.len());
     assert_eq!(run.summary.completed, 0);

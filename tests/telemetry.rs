@@ -14,16 +14,15 @@ fn probe_does_not_perturb_stats_and_series_are_sane() {
     // the probe's per-router ejection counts must add up to the stats'
     // delivered_packets exactly.
     let base = run_synthetic(&net, &policy, &SyntheticPattern::Uniform, 0.6, 60_000, 0, cfg);
-    let (stats, report) = run_synthetic_probed(
+    let (stats, report) = run(
         &net,
         &policy,
-        &SyntheticPattern::Uniform,
-        0.6,
-        60_000,
-        0,
+        &Synthetic::new(&SyntheticPattern::Uniform, 0.6, 60_000, 0),
         cfg,
-        ProbeConfig::default(),
-    );
+        Observers::probed(ProbeConfig::default()),
+    )
+    .map(|r| (r.stats, r.telemetry.expect("probe was attached")))
+    .unwrap();
 
     // The probe must not perturb the simulation at all.
     assert_eq!(stats, base);
@@ -95,16 +94,15 @@ fn forced_deadlock_produces_forensics_cycle() {
     // Every node sends two hops clockwise: all minimal routes chase each
     // other around the ring.
     let pattern = SyntheticPattern::Permutation(vec![2, 3, 4, 0, 1]);
-    let (stats, report) = run_synthetic_probed(
+    let (stats, report) = run(
         &net,
         &policy,
-        &pattern,
-        1.0,
-        50_000,
-        0,
+        &Synthetic::new(&pattern, 1.0, 50_000, 0),
         cfg,
-        ProbeConfig::default(),
-    );
+        Observers::probed(ProbeConfig::default()),
+    )
+    .map(|r| (r.stats, r.telemetry.expect("probe was attached")))
+    .unwrap();
     assert!(stats.deadlocked, "single-VC ring under pressure must wedge");
 
     let forensics = report
@@ -154,17 +152,14 @@ fn faulted_run_summary_carries_drop_retry_and_link_down_totals() {
                 .clone(),
         );
     let cfg = SimConfig::default();
-    let (stats, report) = run_synthetic_faulted_probed(
+    let (stats, report) = run(
         &net,
         &policy,
-        &SyntheticPattern::Uniform,
-        &schedule,
-        0.5,
-        40_000,
-        8_000,
+        &Synthetic::new(&SyntheticPattern::Uniform, 0.5, 40_000, 8_000).with_faults(&schedule),
         cfg,
-        ProbeConfig::default(),
+        Observers::probed(ProbeConfig::default()),
     )
+    .map(|r| (r.stats, r.telemetry.expect("probe was attached")))
     .expect("faulted run constructs");
 
     let summary = report.summary();
@@ -223,16 +218,8 @@ fn probed_sweep_attaches_summaries_and_aborts_after_wedge() {
         ..Default::default()
     };
     let pattern = SyntheticPattern::Permutation(vec![2, 3, 4, 0, 1]);
-    let points = load_sweep_probed(
-        &net,
-        &policy,
-        &pattern,
-        &[0.9, 1.0],
-        50_000,
-        0,
-        cfg,
-        ProbeConfig::default(),
-    );
+    let obs = Observers::probed(ProbeConfig::default());
+    let points = sweep(&net, &policy, &pattern, &[0.9, 1.0], 50_000, 0, cfg, obs, 1).points;
     assert_eq!(points.len(), 2);
     let first_wedged = points.iter().position(|p| p.stats.deadlocked).unwrap();
     // The wedged point was simulated (has telemetry); everything after it

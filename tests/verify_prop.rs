@@ -241,16 +241,15 @@ proptest! {
             preflight: Preflight::Enforce, // would panic on disagreement
             ..Default::default()
         };
-        let (stats, probe) = run_synthetic_probed(
+        let (stats, probe) = run(
             &net,
             &policy,
-            &SyntheticPattern::Uniform,
-            0.9,
-            20_000,
-            4_000,
+            &Synthetic::new(&SyntheticPattern::Uniform, 0.9, 20_000, 4_000),
             cfg,
-            ProbeConfig::default(),
-        );
+            Observers::probed(ProbeConfig::default()),
+        )
+        .map(|r| (r.stats, r.telemetry.expect("probe was attached")))
+        .unwrap();
         prop_assert!(!stats.deadlocked, "certified config wedged");
         prop_assert!(probe.deadlock.is_none(), "certified config produced forensics");
         prop_assert!(stats.delivered_packets > 0);
@@ -380,9 +379,15 @@ fn predicted_ring_deadlock_happens_in_simulation() {
         ..Default::default()
     };
     let pattern = SyntheticPattern::Permutation(vec![2, 3, 4, 0, 1]);
-    let (stats, probe) = run_synthetic_probed(
-        &net, &policy, &pattern, 1.0, 50_000, 0, cfg, ProbeConfig::default(),
-    );
+    let (stats, probe) = run(
+        &net,
+        &policy,
+        &Synthetic::new(&pattern, 1.0, 50_000, 0),
+        cfg,
+        Observers::probed(ProbeConfig::default()),
+    )
+    .map(|r| (r.stats, r.telemetry.expect("probe was attached")))
+    .unwrap();
     assert!(stats.deadlocked, "the predicted deadlock must materialize");
     let forensics = probe.deadlock.expect("wedged run carries forensics");
     assert!(!forensics.cycle.is_empty());
