@@ -27,7 +27,12 @@ fn sweep_point(
         ledger,
         ..Observers::default()
     };
-    run(net, policy, &work, params.sim, obs).unwrap().stats
+    // One shard: the overhead is measured on the serial engine.
+    let cfg = SimConfig {
+        shards: 1,
+        ..params.sim
+    };
+    run(net, policy, &work, cfg, obs).unwrap().stats
 }
 
 fn bench_decision_overhead(c: &mut Criterion) {

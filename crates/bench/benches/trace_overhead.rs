@@ -22,7 +22,12 @@ fn sweep_point(net: &Network, policy: &RoutePolicy, trace: Option<TraceConfig>) 
         trace,
         ..Observers::default()
     };
-    run(net, policy, &work, params.sim, obs).unwrap().stats
+    // One shard: the overhead is measured on the serial engine.
+    let cfg = SimConfig {
+        shards: 1,
+        ..params.sim
+    };
+    run(net, policy, &work, cfg, obs).unwrap().stats
 }
 
 fn bench_trace_overhead(c: &mut Criterion) {

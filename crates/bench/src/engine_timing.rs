@@ -132,7 +132,10 @@ pub fn time_engine_case(case: &EngineCase, shard_counts: &[u32]) -> TimedEngine 
         &case.net,
         &policy,
         &Synthetic::new(&case.pattern, case.load, case.duration_ns, case.warmup_ns),
-        case.sim,
+        SimConfig {
+            shards: 1,
+            ..case.sim
+        },
         Observers::traced(counters_only()),
     )
     .map(|r| (r.stats, r.trace.expect("trace was attached")))

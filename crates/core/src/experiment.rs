@@ -7,7 +7,7 @@ use d2net_analysis::{bisection, scale_table, ScaleRow};
 use d2net_routing::{Algorithm, RoutePolicy};
 use d2net_sim::{
     par_curves, plan_shards, resolve_threads, run_exchange, sweep, ExchangeStats, LedgerConfig,
-    Observers, PointLedger, PointTrace, SweepNotice, SweepOutcome, SweepPoint, TraceConfig,
+    Observers, PointLedger, PointTrace, SweepNotice, SweepPoint, TraceConfig,
 };
 use d2net_topo::{mlfm, oft, slim_fly, Network, SlimFlyP, TopologyKind};
 use d2net_traffic::{
@@ -55,22 +55,6 @@ pub struct CurveSet {
     pub notices: Vec<SweepNotice>,
 }
 
-/// One whole curve's sweep at `params`, its points on `threads`
-/// workers.
-fn curve_sweep(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &SyntheticPattern,
-    params: &RunParams,
-    obs: Observers,
-    threads: usize,
-) -> SweepOutcome {
-    let (loads, dur, warm) = (&params.loads, params.duration_ns, params.warmup_ns);
-    sweep(
-        net, policy, pattern, loads, dur, warm, params.sim, obs, threads,
-    )
-}
-
 /// Fans labelled sweep jobs across `threads` workers and reassembles
 /// them in job order. Each job runs one whole curve on one worker, the
 /// budget divided by the largest shard count any curve's points use;
@@ -90,7 +74,17 @@ fn curves_in_parallel(
         .into_iter()
         .map(|(label, policy, pattern, net)| {
             move || {
-                let out = curve_sweep(net, &policy, &pattern, params, Observers::default(), 1);
+                let out = sweep(
+                    net,
+                    &policy,
+                    &pattern,
+                    &params.loads,
+                    params.duration_ns,
+                    params.warmup_ns,
+                    params.sim,
+                    Observers::default(),
+                    1,
+                );
                 (
                     Curve {
                         label,
@@ -137,11 +131,14 @@ pub fn traced_curve(
     trace: TraceConfig,
     threads: usize,
 ) -> TracedCurve {
-    let out = curve_sweep(
+    let out = sweep(
         net,
         policy,
         pattern,
-        params,
+        &params.loads,
+        params.duration_ns,
+        params.warmup_ns,
+        params.sim,
         Observers::traced(trace),
         threads,
     );
@@ -179,11 +176,14 @@ pub fn ledgered_curve(
     ledger: LedgerConfig,
     threads: usize,
 ) -> LedgeredCurve {
-    let out = curve_sweep(
+    let out = sweep(
         net,
         policy,
         pattern,
-        params,
+        &params.loads,
+        params.duration_ns,
+        params.warmup_ns,
+        params.sim,
         Observers::ledgered(ledger),
         threads,
     );
@@ -248,7 +248,17 @@ pub fn fig6(nets: &[Network], traffic: Traffic, params: &RunParams) -> Vec<Curve
         let pattern = traffic.pattern(net);
         for (algo, tag) in [(Algorithm::Minimal, "MIN"), (Algorithm::Valiant, "INR")] {
             let policy = RoutePolicy::new(net, algo);
-            let swept = curve_sweep(net, &policy, &pattern, params, Observers::default(), 1);
+            let swept = sweep(
+                net,
+                &policy,
+                &pattern,
+                &params.loads,
+                params.duration_ns,
+                params.warmup_ns,
+                params.sim,
+                Observers::default(),
+                1,
+            );
             swept.print_notices();
             let points = swept.points;
             out.push(Curve {
@@ -299,7 +309,17 @@ pub fn adaptive_sweep(
                     threshold: *threshold,
                 },
             );
-            let swept = curve_sweep(net, &policy, &pattern, params, Observers::default(), 1);
+            let swept = sweep(
+                net,
+                &policy,
+                &pattern,
+                &params.loads,
+                params.duration_ns,
+                params.warmup_ns,
+                params.sim,
+                Observers::default(),
+                1,
+            );
             swept.print_notices();
             let points = swept.points;
             out.push(Curve {

@@ -173,13 +173,9 @@ impl Sweep<'_> {
         out
     }
 
-    /// Asserts every harness reproduces [`Sweep::reference`]. Sharded
-    /// points are skipped under chaos (an armed fault fires on shard 0
-    /// only, so its timing is shard-dependent) and compared without the
-    /// calendar counters, which are shard-local;
-    /// `sharded_sweep_matches_serial_sweep_point_for_point` covers more
-    /// shard and thread counts.
-    fn assert_all_match_reference(&self, label: &str) -> SweepOutcome {
+    /// Asserts `sweep` at 1, 2 and 4 threads reproduces
+    /// [`Sweep::reference`], and returns the reference.
+    fn assert_threads_match_reference(&self, label: &str) -> SweepOutcome {
         let want = self.reference();
         for threads in [1, 2, 4] {
             assert_eq!(
@@ -188,6 +184,18 @@ impl Sweep<'_> {
                 "{label}: {threads} threads"
             );
         }
+        want
+    }
+
+    /// Asserts every harness reproduces [`Sweep::reference`]: the thread
+    /// counts above, a reversed order, the supervised sweep and sharded
+    /// points. Sharded points are skipped under chaos (an armed fault
+    /// fires on shard 0 only, so its timing is shard-dependent) and
+    /// compared without the calendar counters, which are shard-local;
+    /// `sharded_sweep_matches_serial_sweep_point_for_point` covers more
+    /// shard and thread counts.
+    fn assert_all_match_reference(&self, label: &str) -> SweepOutcome {
+        let want = self.assert_threads_match_reference(label);
         let n = self.loads.len();
         let reversed: Vec<usize> = (0..n).rev().collect();
         assert_eq!(self.ordered(2, &reversed), want, "{label}: reversed order");
@@ -208,6 +216,9 @@ fn without_calendars(mut out: SweepOutcome) -> SweepOutcome {
     out
 }
 
+/// Every family and pattern at 1, 2 and 4 threads; the reversed-order,
+/// supervised and sharded harnesses are held to the same reference on
+/// the probed, wedging and chaos configs below.
 #[test]
 fn par_sweep_matches_serial_for_all_families_and_patterns() {
     let loads = load_grid(4);
@@ -220,12 +231,12 @@ fn par_sweep_matches_serial_for_all_families_and_patterns() {
                 policy: &policy,
                 pattern: &pattern,
                 loads: &loads,
-                duration_ns: 10_000,
-                warmup_ns: 2_000,
+                duration_ns: 20_000,
+                warmup_ns: 4_000,
                 cfg: SimConfig::default(),
                 obs: Observers::default(),
             }
-            .assert_all_match_reference(&label);
+            .assert_threads_match_reference(&label);
             // These configs are certified: nothing may wedge, so the
             // parity above covers fully simulated sweeps.
             assert!(out.notices.is_empty(), "{label}");
@@ -450,9 +461,11 @@ fn resilience_sweep_serial_matches_parallel_across_families() {
 fn traced_run(
     net: &Network,
     policy: &RoutePolicy,
+    duration_ns: u64,
+    warmup_ns: u64,
     cfg: SimConfig,
 ) -> (SyntheticStats, EngineTrace) {
-    let work = Synthetic::new(&SyntheticPattern::Uniform, 0.7, 20_000, 4_000);
+    let work = Synthetic::new(&SyntheticPattern::Uniform, 0.7, duration_ns, warmup_ns);
     let r = run(
         net,
         policy,
@@ -479,7 +492,7 @@ fn calendar_queue_counters_cross_check_against_heap() {
                 event_queue: queue,
                 ..Default::default()
             };
-            traced_run(&net, &policy, cfg)
+            traced_run(&net, &policy, 30_000, 6_000, cfg)
         };
         let (cal_stats, cal_trace) = traced(EventQueueKind::Calendar);
         let (heap_stats, heap_trace) = traced(EventQueueKind::Heap);
@@ -513,7 +526,7 @@ fn calendar_queue_counters_cross_check_against_heap() {
 }
 
 /// A faulted uniform run: a link fails at 8 µs and an endpoint router
-/// at 16 µs (`router_too`), or only the link.
+/// at 16 µs over 40 µs (`router_too`), or only the link over 30 µs.
 fn faulted_run(
     net: &Network,
     cfg: SimConfig,
@@ -531,8 +544,12 @@ fn faulted_run(
         );
     }
     let policy = RoutePolicy::new(net, Algorithm::Minimal);
-    let work =
-        Synthetic::new(&SyntheticPattern::Uniform, 0.5, 40_000, 8_000).with_faults(&schedule);
+    let (dur, warm) = if router_too {
+        (40_000, 8_000)
+    } else {
+        (30_000, 6_000)
+    };
+    let work = Synthetic::new(&SyntheticPattern::Uniform, 0.5, dur, warm).with_faults(&schedule);
     run(net, &policy, &work, cfg, obs).expect("faulted run constructs")
 }
 
@@ -702,9 +719,10 @@ fn sharded_probed_run_matches_serial_telemetry_exactly() {
 fn sharded_traced_run_matches_serial_modulo_calendar_internals() {
     for net in families() {
         let policy = RoutePolicy::new(&net, Algorithm::Minimal);
-        let (serial_stats, mut serial_trace) = traced_run(&net, &policy, sharded_cfg(1));
+        let (serial_stats, mut serial_trace) =
+            traced_run(&net, &policy, 20_000, 4_000, sharded_cfg(1));
         for k in [2u32, 4] {
-            let (stats, mut trace) = traced_run(&net, &policy, sharded_cfg(k));
+            let (stats, mut trace) = traced_run(&net, &policy, 20_000, 4_000, sharded_cfg(k));
             assert_eq!(stats, serial_stats, "{}: {k}-shard stats", net.name());
             // The calendar's ring/drain/overflow split and day-jump
             // count depend on each queue's local contents, so they are
