@@ -6,8 +6,9 @@
 # Usage: ci.sh [--bench-smoke] [--fault-smoke] [--trace-smoke] [--decision-smoke]
 #              [--analysis-smoke] [--shard-smoke] [--serve-smoke] [--obs-smoke]
 #              [--bench-diff]
-#   --bench-smoke     additionally compiles every benchmark and runs a
-#                     smoke-sized bench_sweep, writing BENCH_sweep.json.
+#   --bench-smoke     additionally runs each perfbench workload for one
+#                     second and checks its result line says
+#                     "correct": true.
 #   --fault-smoke     additionally runs the tiny resilience sweep and
 #                     checks its manifest carries a "faults" section.
 #   --trace-smoke     additionally runs the traced demo sweep (which
@@ -22,10 +23,9 @@
 #                     blindness attribution.
 #   --analysis-smoke  additionally runs the analytic-oracle gate
 #                     (d2net-analyze: §4.2 exactness, divergence gate,
-#                     serial == parallel manifest bytes), checks the
+#                     serial == parallel manifest bytes) and checks the
 #                     manifests carry "analysis" sections with passing
-#                     verdicts, and runs a smoke-sized bench_analysis
-#                     writing BENCH_analysis.json.
+#                     verdicts.
 #   --shard-smoke     additionally runs the intra-run sharding gate
 #                     (d2net-shard: the Fig. 13 all-to-all on SF(5)
 #                     under MIN, INR and UGAL-L reports the same
@@ -49,10 +49,12 @@
 #                     log carries the schema header plus the service and
 #                     request lifecycle codes.
 #   --bench-diff      additionally runs the bench-regression gate: two
-#                     real smoke-sized bench_engine runs appended to a
-#                     history file, bench_diff compare produces coded
-#                     verdicts, and a planted regression (--scale) must
-#                     trip the gate with a non-zero exit.
+#                     short real perfbench runs appended to a temp
+#                     history, bench_diff compare produces coded
+#                     verdicts, a planted regression (a copied result
+#                     line with run_s x1.5) must trip the gate with exit
+#                     1, and a record with an edited host stamp must be
+#                     reported INCOMPARABLE without tripping it.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -106,11 +108,11 @@ echo "== perfbench: build the benchmark and run its planted-fault tests =="
 cargo test --release --manifest-path perfbench/Cargo.toml
 
 if [[ "$BENCH_SMOKE" == "1" ]]; then
-  echo "== bench smoke: compile benches, time a reduced sweep =="
-  cargo bench --no-run --workspace
-  D2NET_BENCH_DURATION_NS=10000 D2NET_BENCH_LOAD_STEPS=4 \
-    cargo run --release -p d2net-bench --bin bench_sweep -- BENCH_sweep.json
-  grep -q '"schema":"d2net.bench-sweep/v1"' BENCH_sweep.json
+  echo "== bench smoke: one second of each perfbench workload, correct results =="
+  for w in coral_sweep exchange_a2a coral_certify; do
+    python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0 | tail -n 1 \
+      | grep -Eq '"correct": ?true'
+  done
 fi
 
 if [[ "$FAULT_SMOKE" == "1" ]]; then
@@ -146,17 +148,13 @@ if [[ "$DECISION_SMOKE" == "1" ]]; then
 fi
 
 if [[ "$ANALYSIS_SMOKE" == "1" ]]; then
-  echo "== analysis smoke: analytic oracle gate + static-vs-sim bench =="
+  echo "== analysis smoke: analytic oracle gate =="
   cargo run --release --example d2net-analyze -- --prefix ANALYSIS_smoke_
   for f in ANALYSIS_smoke_SF5.json ANALYSIS_smoke_MLFM4.json ANALYSIS_smoke_OFT4.json; do
     grep -q '"analysis"' "$f"
     grep -q '"predicted_saturation"' "$f"
     grep -q '"passed":true' "$f"
   done
-  D2NET_BENCH_DURATION_NS=10000 D2NET_BENCH_LOAD_STEPS=3 \
-    cargo run --release -p d2net-bench --bin bench_analysis -- BENCH_analysis.json
-  grep -q '"schema":"d2net.bench-analysis/v1"' BENCH_analysis.json
-  grep -q '"gate_passed":true' BENCH_analysis.json
 fi
 
 if [[ "$SHARD_SMOKE" == "1" ]]; then
@@ -275,28 +273,58 @@ fi
 
 if [[ "$BENCH_DIFF" == "1" ]]; then
   echo "== bench diff: history from two real runs, verdicts, planted regression trips =="
-  cargo build --release -p d2net-bench --bin bench_engine --bin bench_diff
-  BENGINE=target/release/bench_engine
+  cargo build --release -p d2net-bench --bin bench_diff
   BDIFF=target/release/bench_diff
   DIFFD=$(mktemp -d)
   trap 'rm -rf "$DIFFD"' EXIT
   HIST="$DIFFD/bench_history.jsonl"
-  D2NET_BENCH_DURATION_NS=10000 "$BENGINE" "$DIFFD/BENCH_engine_a.json"
-  D2NET_BENCH_DURATION_NS=10000 "$BENGINE" "$DIFFD/BENCH_engine_b.json"
-  "$BDIFF" append "$DIFFD/BENCH_engine_a.json" --history "$HIST" --label base
-  "$BDIFF" append "$DIFFD/BENCH_engine_b.json" --history "$HIST" --label head
-  # Two real smoke runs: verdicts must appear. The wide threshold keeps
-  # CI timing noise from tripping the gate here.
-  "$BDIFF" compare --history "$HIST" --threshold 0.9 | tee "$DIFFD/diff.txt"
-  grep -Eq 'REGRESSION|IMPROVEMENT|NEUTRAL' "$DIFFD/diff.txt"
-  # Plant a regression (documented --scale test hook); the gate must
-  # trip with a non-zero exit and name the regressed groups.
-  "$BDIFF" append "$DIFFD/BENCH_engine_b.json" --history "$HIST" --label planted --scale 0.4
-  if "$BDIFF" compare --history "$HIST" --threshold 0.15 > "$DIFFD/diff_regression.txt"; then
-    echo "ci.sh: planted regression did not trip the bench gate" >&2
+  LABEL=$(git rev-parse --short HEAD 2>/dev/null || echo run)
+  for seed in 1 2; do
+    python3 perfbench/run.py --workload coral_certify --seed "$seed" --seconds 1 --trace 0 \
+      > "$DIFFD/run_$seed.txt"
+    "$BDIFF" append coral_certify "$seed" 1 0 "$DIFFD/run_$seed.txt" \
+      --history "$HIST" --label "$LABEL"
+  done
+  # Two real one-second runs: coded verdicts must appear. Exit 1 is
+  # allowed here, since such short runs are noisy; exit 2 (no pair, bad
+  # input) is not.
+  STATUS=0
+  "$BDIFF" compare --history "$HIST" > "$DIFFD/diff.txt" || STATUS=$?
+  cat "$DIFFD/diff.txt"
+  [[ "$STATUS" -le 1 ]]
+  grep -Eq 'benchdiff: (REGRESSION|IMPROVEMENT|NEUTRAL) workload=coral_certify metric=run_s' \
+    "$DIFFD/diff.txt"
+  # Plant a regression: the last result line with run_s x1.5. The gate
+  # must exit 1 and name it.
+  python3 -c '
+import json, sys
+result = json.loads(open(sys.argv[1]).read().strip().splitlines()[-1])
+result["metrics"]["run_s"]["value"] *= 1.5
+print(json.dumps(result))
+' "$DIFFD/run_2.txt" > "$DIFFD/planted.txt"
+  "$BDIFF" append coral_certify 2 1 0 "$DIFFD/planted.txt" --history "$HIST" --label planted
+  STATUS=0
+  "$BDIFF" compare --history "$HIST" > "$DIFFD/diff_regression.txt" || STATUS=$?
+  cat "$DIFFD/diff_regression.txt"
+  if [[ "$STATUS" -ne 1 ]]; then
+    echo "ci.sh: planted regression did not trip the bench gate (exit $STATUS)" >&2
     exit 1
   fi
-  grep -q 'REGRESSION' "$DIFFD/diff_regression.txt"
+  grep -q 'benchdiff: REGRESSION workload=coral_certify metric=run_s' "$DIFFD/diff_regression.txt"
+  # A record from another host (its stamp edited, run_s x1.5 again) is
+  # INCOMPARABLE and never a regression.
+  python3 -c '
+import json, sys
+record = json.loads(open(sys.argv[1]).read().strip().splitlines()[-1])
+record["host"]["cpu_model"] += " (other host)"
+record["label"] = "other-host"
+record["result"]["metrics"]["run_s"]["value"] *= 1.5
+print(json.dumps(record))
+' "$HIST" > "$DIFFD/other_host.jsonl"
+  cat "$DIFFD/other_host.jsonl" >> "$HIST"
+  "$BDIFF" compare --history "$HIST" > "$DIFFD/diff_host.txt"
+  cat "$DIFFD/diff_host.txt"
+  grep -q 'benchdiff: INCOMPARABLE workload=coral_certify' "$DIFFD/diff_host.txt"
   trap - EXIT
   rm -rf "$DIFFD"
 fi

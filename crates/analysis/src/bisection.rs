@@ -238,6 +238,13 @@ mod tests {
         assert!(o.per_node > 0.70, "OFT, got {}", o.per_node);
         assert!((0.62..=0.82).contains(&sf.per_node), "SF ≈ 0.71b, got {}", sf.per_node);
         assert!((0.45..=0.62).contains(&m.per_node), "MLFM ≈ 0.5b, got {}", m.per_node);
+
+        // The same claim at comparable reduced scales (N ≈ 250-400):
+        // MLFM is still the lowest of the three.
+        let m = bisection(&mlfm(8), 4, 1).per_node;
+        let s = bisection(&slim_fly(7, SlimFlyP::Floor), 4, 1).per_node;
+        let o = bisection(&oft(6), 4, 1).per_node;
+        assert!(m < s && m < o, "MLFM must be lowest: {m} vs {s} / {o}");
     }
 
     #[test]

@@ -1,44 +1,50 @@
-//! `d2net-benchdiff`: bench-history append and regression gate (see
-//! EXPERIMENTS.md).
+//! `bench_diff`: perf-history append and regression gate over
+//! `perfbench` result lines (see EXPERIMENTS.md).
 //!
 //! ```text
-//! bench_diff append BENCH_engine.json [--history PATH] [--label L] [--scale F]
-//! bench_diff compare [--history PATH] [--threshold F]
+//! bench_diff append WORKLOAD SEED SECONDS TRACE OUTPUT [--history PATH] [--label L]
+//! bench_diff compare [--history PATH]
 //! ```
 //!
-//! `append` extracts the comparison groups from a
-//! `d2net.bench-engine/v1` document and appends one
-//! `d2net.bench-history/v1` record to the history file (default
-//! `results/bench_history.jsonl`). `--scale F` multiplies every group
-//! value before recording — a documented test hook so CI can plant a
-//! known regression and assert the gate trips.
+//! `append` takes the result line, the last line of `OUTPUT` (the saved
+//! standard output of `python3 perfbench/run.py --workload WORKLOAD
+//! --seed SEED --seconds SECONDS --trace TRACE`), and appends one
+//! `d2net.bench-history/v2` record with this host's stamp to the
+//! history file (default `results/bench_history.jsonl`). It refuses a
+//! result with `"correct":false`.
 //!
-//! `compare` reads the latest two records and prints one coded verdict
-//! per group (`REGRESSION` / `IMPROVEMENT` / `NEUTRAL`, plus
-//! `ADDED`/`REMOVED` for renamed groups). Exit status: 0 clean, 1 when
-//! any group regressed, 2 on usage or missing history.
+//! `compare` judges, per workload, the latest two untraced records
+//! against the end-to-end bounds in `./BENCHMARK.json`, one coded line
+//! per metric (`REGRESSION` / `IMPROVEMENT` / `NEUTRAL`, plus
+//! `ADDED`/`REMOVED`), or `INCOMPARABLE` when the two hosts differ.
+//! Exit status: 0 clean, 1 when any metric regressed, 2 on usage,
+//! unreadable input, or a history with no pair to compare.
 
 use d2net_bench::diff::{
-    append_history, compare, groups_from_engine_bench, read_history, HistoryRecord,
-    DEFAULT_THRESHOLD,
+    append_history, bounds_from_benchmark, compare, read_history, render_record, result_line, Host,
+    Stamp,
 };
 use std::path::PathBuf;
 
 fn usage(err: &str) -> ! {
     eprintln!("bench_diff: {err}");
-    eprintln!("usage: bench_diff append BENCH.json [--history PATH] [--label L] [--scale F]");
-    eprintln!("       bench_diff compare [--history PATH] [--threshold F]");
+    eprintln!(
+        "usage: bench_diff append WORKLOAD SEED SECONDS TRACE OUTPUT [--history PATH] [--label L]"
+    );
+    eprintln!("       bench_diff compare [--history PATH]");
     std::process::exit(2);
+}
+
+fn read(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| usage(&format!("cannot read {path}: {e}")))
 }
 
 fn main() {
     let mut args = std::env::args().skip(1);
     let mode = args.next().unwrap_or_else(|| usage("missing mode"));
-    let mut bench_path: Option<PathBuf> = None;
+    let mut positional = Vec::new();
     let mut history = PathBuf::from("results/bench_history.jsonl");
     let mut label = String::from("run");
-    let mut scale = 1.0f64;
-    let mut threshold = DEFAULT_THRESHOLD;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--history" => {
@@ -47,77 +53,71 @@ fn main() {
                     .map(PathBuf::from)
                     .unwrap_or_else(|| usage("--history wants a path"))
             }
-            "--label" => label = args.next().unwrap_or_else(|| usage("--label wants a value")),
-            "--scale" => {
-                scale = args
+            "--label" => {
+                label = args
                     .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|s: &f64| s.is_finite() && *s > 0.0)
-                    .unwrap_or_else(|| usage("--scale wants a positive float"))
+                    .unwrap_or_else(|| usage("--label wants a value"))
             }
-            "--threshold" => {
-                threshold = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|t: &f64| t.is_finite() && *t > 0.0 && *t < 1.0)
-                    .unwrap_or_else(|| usage("--threshold wants a float in (0, 1)"))
-            }
-            other if bench_path.is_none() && !other.starts_with('-') => {
-                bench_path = Some(PathBuf::from(other))
-            }
+            other if !other.starts_with('-') => positional.push(arg),
             other => usage(&format!("unknown argument '{other}'")),
         }
     }
-    match mode.as_str() {
-        "append" => {
-            let path = bench_path.unwrap_or_else(|| usage("append wants a BENCH.json path"));
-            let text = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| usage(&format!("cannot read {}: {e}", path.display())));
-            let mut groups = groups_from_engine_bench(&text)
-                .unwrap_or_else(|e| usage(&format!("{}: {e}", path.display())));
-            for g in &mut groups {
-                g.value *= scale;
-            }
-            let ts_ms = std::time::SystemTime::now()
-                .duration_since(std::time::SystemTime::UNIX_EPOCH)
-                .map(|d| d.as_millis() as u64)
-                .unwrap_or(0);
-            let n = groups.len();
-            let rec = HistoryRecord {
-                ts_ms,
-                label,
-                source: "engine".into(),
-                groups,
+    match (mode.as_str(), &positional[..]) {
+        ("append", [workload, seed, seconds, trace, output]) => {
+            let number = |v: &str, what: &str| {
+                v.parse::<u64>()
+                    .unwrap_or_else(|_| usage(&format!("{what} wants a non-negative integer")))
             };
-            append_history(&history, &rec)
+            let stamp = Stamp {
+                ts_ms: std::time::SystemTime::now()
+                    .duration_since(std::time::SystemTime::UNIX_EPOCH)
+                    .map(|d| d.as_millis() as u64)
+                    .unwrap_or(0),
+                label,
+                workload: workload.clone(),
+                seed: number(seed, "SEED"),
+                seconds: number(seconds, "SECONDS"),
+                traced: match trace.as_str() {
+                    "0" => false,
+                    "1" => true,
+                    _ => usage("TRACE wants 0 or 1"),
+                },
+                host: Host::this_machine(),
+            };
+            let text = read(output);
+            let line = result_line(&text)
+                .and_then(|line| render_record(&stamp, line))
+                .unwrap_or_else(|e| usage(&format!("{output}: {e}")));
+            append_history(&history, &line)
                 .unwrap_or_else(|e| usage(&format!("cannot append {}: {e}", history.display())));
             println!(
-                "benchdiff: appended {n} group(s) as '{}' to {}",
-                rec.label,
+                "benchdiff: appended {} seed {} (trace {trace}) as '{}' on {} to {}",
+                stamp.workload,
+                stamp.seed,
+                stamp.label,
+                stamp.host,
                 history.display()
             );
         }
-        "compare" => {
-            let text = std::fs::read_to_string(&history)
-                .unwrap_or_else(|e| usage(&format!("cannot read {}: {e}", history.display())));
-            let records = read_history(&text).unwrap_or_else(|e| usage(&e));
-            if records.len() < 2 {
+        ("compare", []) => {
+            let bounds = bounds_from_benchmark(&read("BENCHMARK.json"))
+                .unwrap_or_else(|e| usage(&format!("BENCHMARK.json: {e}")));
+            let records = read_history(&read(&history.to_string_lossy()))
+                .unwrap_or_else(|e| usage(&format!("{}: {e}", history.display())));
+            let report = compare(&records, &bounds);
+            print!("{}", report.render());
+            if report.paired() == 0 {
                 usage(&format!(
-                    "{} holds {} record(s); compare needs at least 2",
-                    history.display(),
-                    records.len()
+                    "{} holds no workload with two untraced records",
+                    history.display()
                 ));
             }
-            let report = compare(
-                &records[records.len() - 2],
-                &records[records.len() - 1],
-                threshold,
-            );
-            print!("{}", report.render());
             if report.regressions() > 0 {
                 std::process::exit(1);
             }
         }
-        other => usage(&format!("unknown mode '{other}'")),
+        ("append", _) => usage("append wants WORKLOAD SEED SECONDS TRACE OUTPUT"),
+        ("compare", _) => usage("compare takes no positional argument"),
+        (other, _) => usage(&format!("unknown mode '{other}'")),
     }
 }

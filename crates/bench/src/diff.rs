@@ -1,16 +1,18 @@
-//! Bench-history recording and regression verdicts (`d2net-benchdiff`).
+//! The perf history and its regression gate (`bench_diff`).
 //!
-//! Every `bench_engine` run can be appended as one JSONL record
-//! (schema `d2net.bench-history/v1`) to `results/bench_history.jsonl`;
-//! comparing the latest two records turns the perf trajectory into
-//! coded per-group verdicts — `REGRESSION` / `IMPROVEMENT` / `NEUTRAL`
-//! against a relative threshold — which `ci.sh --bench-diff` gates on.
+//! `perfbench` is the repository's one benchmark: `python3
+//! perfbench/run.py` prints one result line last,
+//! `{"correct":..,"attempted":..,"failed":..,"metrics":{..}}`. Each run
+//! can be appended as one JSONL record (schema
+//! `d2net.bench-history/v2`) to `results/bench_history.jsonl`: the run's
+//! workload, seed, seconds and trace flag, a label (CI uses the git
+//! revision), the host it ran on, and the result line verbatim.
 //!
-//! Groups are higher-is-better rates: each engine case contributes its
-//! serial events-per-second and its best sharded speedup. A group
-//! present in only one record is reported (`ADDED` / `REMOVED`) but
-//! never trips the gate — renaming a bench case must not read as a
-//! perf regression.
+//! [`compare`] judges, per workload, the latest two untraced records:
+//! every end-to-end metric against the `bound` and `better` direction
+//! `BENCHMARK.json` gives it, plus the failed share of operations.
+//! Records from different hosts are `INCOMPARABLE`, never a regression;
+//! traced records are evidence only and never compared.
 
 use d2net_core::compare::Json;
 use d2net_core::report::JsonWriter;
@@ -18,157 +20,224 @@ use std::io::Write;
 use std::path::Path;
 
 /// Schema tag carried by every history record.
-pub const HISTORY_SCHEMA: &str = "d2net.bench-history/v1";
+pub const HISTORY_SCHEMA: &str = "d2net.bench-history/v2";
 
-/// Default relative threshold: a group must move by more than 15 % to
-/// leave `NEUTRAL`. Bench wall-clocks on shared CI machines are noisy;
-/// the gate is for cliffs, not jitter.
-pub const DEFAULT_THRESHOLD: f64 = 0.15;
-
-/// One measured group of a bench run (higher is better).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Group {
-    pub name: String,
-    pub value: f64,
+/// The machine a record was taken on. Host times from different
+/// machines say nothing about the code, so only equal hosts compare.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Host {
+    /// `std::thread::available_parallelism` of the recording process.
+    pub cpus: u64,
+    /// The first `model name` of `/proc/cpuinfo` (empty when unknown).
+    pub cpu_model: String,
 }
 
-/// One appended bench run.
+impl Host {
+    /// The machine this process runs on.
+    pub fn this_machine() -> Host {
+        let cpus = std::thread::available_parallelism()
+            .map(|n| n.get() as u64)
+            .unwrap_or(1);
+        let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|info| {
+                info.lines()
+                    .filter_map(|l| l.split_once(':'))
+                    .find(|(k, _)| k.trim() == "model name")
+                    .map(|(_, v)| v.trim().to_string())
+            })
+            .unwrap_or_default();
+        Host { cpus, cpu_model }
+    }
+}
+
+impl std::fmt::Display for Host {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "'{} cpus, {}'", self.cpus, self.cpu_model)
+    }
+}
+
+/// Everything a record says about its run apart from the result line.
 #[derive(Debug, Clone, PartialEq)]
-pub struct HistoryRecord {
+pub struct Stamp {
     /// Wall-clock stamp, milliseconds since the Unix epoch.
     pub ts_ms: u64,
-    /// Caller-chosen tag (default `"run"`; CI uses the git describe).
+    /// Caller-chosen tag (CI uses `git rev-parse --short HEAD`).
     pub label: String,
-    /// Which bench produced the record (`"engine"`).
-    pub source: String,
-    pub groups: Vec<Group>,
+    pub workload: String,
+    pub seed: u64,
+    pub seconds: u64,
+    pub traced: bool,
+    pub host: Host,
 }
 
-/// Extracts comparison groups from a `BENCH_engine.json` document
-/// (schema `d2net.bench-engine/v1`): per case, `<name>/serial_eps` and
-/// `<name>/best_speedup`.
-pub fn groups_from_engine_bench(text: &str) -> Result<Vec<Group>, String> {
-    let doc = Json::parse(text)?;
-    let schema = doc
-        .get("schema")
-        .and_then(|j| j.as_str())
-        .ok_or("bench document has no schema")?;
-    if schema != "d2net.bench-engine/v1" {
-        return Err(format!("unsupported bench schema '{schema}'"));
-    }
-    let cases = doc
-        .get("cases")
-        .and_then(|j| j.as_array())
-        .ok_or("bench document has no cases array")?;
-    let mut groups = Vec::with_capacity(cases.len() * 2);
-    for case in cases {
-        let name = case
-            .get("name")
-            .and_then(|j| j.as_str())
-            .ok_or("case without a name")?;
-        let eps = case
-            .get("serial_events_per_sec")
-            .and_then(|j| j.as_f64())
-            .ok_or_else(|| format!("case {name} missing serial_events_per_sec"))?;
-        groups.push(Group {
-            name: format!("{name}/serial_eps"),
-            value: eps,
-        });
-        let speedup = case
-            .get("best_speedup")
-            .and_then(|j| j.as_f64())
-            .ok_or_else(|| format!("case {name} missing best_speedup"))?;
-        groups.push(Group {
-            name: format!("{name}/best_speedup"),
-            value: speedup,
-        });
-    }
-    if groups.is_empty() {
-        return Err("bench document has zero cases".into());
-    }
-    Ok(groups)
+/// A parsed `perfbench` result line.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PerfResult {
+    pub correct: bool,
+    pub attempted: u64,
+    pub failed: u64,
+    /// `(name, value)` in the line's order.
+    pub metrics: Vec<(String, f64)>,
 }
 
-/// Renders one record as a single JSONL line (no trailing newline).
-pub fn render_record(rec: &HistoryRecord) -> String {
+impl PerfResult {
+    fn from_json(doc: &Json) -> Result<PerfResult, String> {
+        let correct = match doc.get("correct") {
+            Some(Json::Bool(b)) => *b,
+            _ => return Err("result has no boolean \"correct\"".into()),
+        };
+        let count = |key: &str| {
+            doc.get(key)
+                .and_then(|j| j.as_u64())
+                .ok_or_else(|| format!("result has no \"{key}\" count"))
+        };
+        let metrics = match doc.get("metrics") {
+            Some(Json::Object(fields)) => fields
+                .iter()
+                .map(|(name, m)| {
+                    m.get("value")
+                        .and_then(|v| v.as_f64())
+                        .map(|v| (name.clone(), v))
+                        .ok_or_else(|| format!("metric {name} has no value"))
+                })
+                .collect::<Result<Vec<_>, _>>()?,
+            _ => return Err("result has no \"metrics\" object".into()),
+        };
+        Ok(PerfResult {
+            correct,
+            attempted: count("attempted")?,
+            failed: count("failed")?,
+            metrics,
+        })
+    }
+
+    pub fn metric(&self, name: &str) -> Option<f64> {
+        self.metrics
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|&(_, v)| v)
+    }
+
+    /// Failed operations over attempted ones (0 when none were).
+    pub fn failed_share(&self) -> f64 {
+        if self.attempted == 0 {
+            0.0
+        } else {
+            self.failed as f64 / self.attempted as f64
+        }
+    }
+}
+
+/// One history record.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Record {
+    pub stamp: Stamp,
+    pub result: PerfResult,
+}
+
+/// The result line of `perfbench` output: its last non-empty line.
+pub fn result_line(output: &str) -> Result<&str, String> {
+    output
+        .lines()
+        .map(str::trim)
+        .rfind(|l| !l.is_empty())
+        .ok_or_else(|| "no result line".to_string())
+}
+
+/// Renders one record as a single JSONL line (no trailing newline),
+/// with `line` spliced in verbatim as its `"result"`. Refuses a line
+/// that does not parse, says `"correct":false`, or whose metric set
+/// does not match the trace flag (an untraced run reports `run_s`, a
+/// traced one the per-layer set without it).
+pub fn render_record(stamp: &Stamp, line: &str) -> Result<String, String> {
+    let result = PerfResult::from_json(&Json::parse(line)?)?;
+    if !result.correct {
+        return Err("the result says \"correct\":false; an incorrect run is not recorded".into());
+    }
+    if result.metric("run_s").is_some() == stamp.traced {
+        return Err(format!(
+            "the result's metrics do not match trace flag {}",
+            u8::from(stamp.traced)
+        ));
+    }
     let mut w = JsonWriter::new();
     w.begin_object();
     w.key("schema").string(HISTORY_SCHEMA);
-    w.key("ts_ms").u64(rec.ts_ms);
-    w.key("label").string(&rec.label);
-    w.key("source").string(&rec.source);
-    w.key("groups").begin_array();
-    for g in &rec.groups {
-        w.begin_object();
-        w.key("name").string(&g.name);
-        w.key("value").f64(g.value);
-        w.end_object();
-    }
-    w.end_array();
+    w.key("ts_ms").u64(stamp.ts_ms);
+    w.key("label").string(&stamp.label);
+    w.key("workload").string(&stamp.workload);
+    w.key("seed").u64(stamp.seed);
+    w.key("seconds").u64(stamp.seconds);
+    w.key("trace").bool(stamp.traced);
+    w.key("host").begin_object();
+    w.key("cpus").u64(stamp.host.cpus);
+    w.key("cpu_model").string(&stamp.host.cpu_model);
     w.end_object();
-    w.finish()
+    w.key("result").raw(line);
+    w.end_object();
+    Ok(w.finish())
 }
 
-fn parse_record(line: &str) -> Result<HistoryRecord, String> {
+fn parse_record(line: &str) -> Result<Record, String> {
     let doc = Json::parse(line)?;
-    let schema = doc
-        .get("schema")
-        .and_then(|j| j.as_str())
-        .ok_or("history record has no schema")?;
-    if schema != HISTORY_SCHEMA {
-        return Err(format!("unsupported history schema '{schema}'"));
+    let schema = doc.get("schema").and_then(|j| j.as_str());
+    if schema != Some(HISTORY_SCHEMA) {
+        return Err(format!("unsupported history schema {schema:?}"));
     }
-    let groups = doc
-        .get("groups")
-        .and_then(|j| j.as_array())
-        .ok_or("history record has no groups")?
-        .iter()
-        .map(|g| {
-            Ok(Group {
-                name: g
-                    .get("name")
-                    .and_then(|j| j.as_str())
-                    .ok_or("group without name")?
-                    .to_string(),
-                value: g
-                    .get("value")
-                    .and_then(|j| j.as_f64())
-                    .ok_or("group without value")?,
-            })
-        })
-        .collect::<Result<Vec<_>, &str>>()?;
-    Ok(HistoryRecord {
-        ts_ms: doc.get("ts_ms").and_then(|j| j.as_u64()).unwrap_or(0),
-        label: doc
-            .get("label")
+    let text = |key: &str| {
+        doc.get(key)
             .and_then(|j| j.as_str())
-            .unwrap_or("run")
-            .to_string(),
-        source: doc
-            .get("source")
-            .and_then(|j| j.as_str())
-            .unwrap_or("engine")
-            .to_string(),
-        groups,
-    })
+            .map(str::to_string)
+            .ok_or_else(|| format!("record has no \"{key}\""))
+    };
+    let count = |j: Option<&Json>, key: &str| {
+        j.and_then(|j| j.as_u64())
+            .ok_or_else(|| format!("record has no \"{key}\""))
+    };
+    let host = doc.get("host");
+    let stamp = Stamp {
+        ts_ms: count(doc.get("ts_ms"), "ts_ms")?,
+        label: text("label")?,
+        workload: text("workload")?,
+        seed: count(doc.get("seed"), "seed")?,
+        seconds: count(doc.get("seconds"), "seconds")?,
+        traced: match doc.get("trace") {
+            Some(Json::Bool(b)) => *b,
+            _ => return Err("record has no boolean \"trace\"".into()),
+        },
+        host: Host {
+            cpus: count(host.and_then(|h| h.get("cpus")), "host.cpus")?,
+            cpu_model: host
+                .and_then(|h| h.get("cpu_model"))
+                .and_then(|j| j.as_str())
+                .ok_or("record has no \"host.cpu_model\"")?
+                .to_string(),
+        },
+    };
+    let result = PerfResult::from_json(doc.get("result").ok_or("record has no \"result\"")?)?;
+    Ok(Record { stamp, result })
 }
 
-/// Appends one record to the history file, creating it (and its parent
-/// directory) on first use.
-pub fn append_history(path: &Path, rec: &HistoryRecord) -> std::io::Result<()> {
+/// Appends one rendered record to the history file, creating it (and
+/// its parent directory) on first use.
+pub fn append_history(path: &Path, record_line: &str) -> std::io::Result<()> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;
         }
     }
-    let mut f = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
-    writeln!(f, "{}", render_record(rec))
+    let mut f = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)?;
+    writeln!(f, "{record_line}")
 }
 
 /// Reads the full history. A torn final line (a run killed mid-append)
 /// is skipped, the same tolerance the point journal applies; a
 /// malformed line anywhere else is an error.
-pub fn read_history(text: &str) -> Result<Vec<HistoryRecord>, String> {
+pub fn read_history(text: &str) -> Result<Vec<Record>, String> {
     let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
     let mut out = Vec::with_capacity(lines.len());
     for (i, line) in lines.iter().enumerate() {
@@ -181,116 +250,258 @@ pub fn read_history(text: &str) -> Result<Vec<HistoryRecord>, String> {
     Ok(out)
 }
 
-/// One group's comparison outcome. `ratio` is `latest / prev` (higher
-/// is better); `verdict` is the coded discriminator.
+/// An end-to-end metric's judging rule from `BENCHMARK.json`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Verdict {
-    pub group: String,
-    pub prev: Option<f64>,
-    pub latest: Option<f64>,
-    pub ratio: Option<f64>,
-    /// `"REGRESSION"`, `"IMPROVEMENT"`, `"NEUTRAL"`, `"ADDED"`, or
-    /// `"REMOVED"`.
-    pub verdict: &'static str,
+pub struct Bound {
+    pub name: String,
+    pub higher_is_better: bool,
+    /// Largest relative change in the worse direction that is not a
+    /// regression.
+    pub bound: f64,
 }
 
-/// The comparison of the latest two history records.
+/// Reads the `end_to_end` metrics of a `BENCHMARK.json` document.
+pub fn bounds_from_benchmark(text: &str) -> Result<Vec<Bound>, String> {
+    let doc = Json::parse(text)?;
+    doc.get("end_to_end")
+        .and_then(|j| j.as_array())
+        .ok_or("BENCHMARK.json has no end_to_end array")?
+        .iter()
+        .map(|m| {
+            let name = m
+                .get("name")
+                .and_then(|j| j.as_str())
+                .ok_or("end_to_end metric without a name")?;
+            let higher_is_better = match m.get("better").and_then(|j| j.as_str()) {
+                Some("higher") => true,
+                Some("lower") => false,
+                other => return Err(format!("metric {name}: bad \"better\" {other:?}")),
+            };
+            let bound = m
+                .get("bound")
+                .and_then(|j| j.as_f64())
+                .filter(|b| b.is_finite() && *b >= 0.0)
+                .ok_or_else(|| format!("metric {name}: bad \"bound\""))?;
+            Ok(Bound {
+                name: name.to_string(),
+                higher_is_better,
+                bound,
+            })
+        })
+        .collect()
+}
+
+/// One judged quantity of one workload.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Verdict {
+    /// The metric name, or `failed_share`.
+    pub metric: String,
+    /// `"REGRESSION"`, `"IMPROVEMENT"`, `"NEUTRAL"`, `"ADDED"` or
+    /// `"REMOVED"`.
+    pub verdict: &'static str,
+    /// The values behind the verdict, as printed.
+    pub detail: String,
+}
+
+/// What happened to one workload's history.
+#[derive(Debug, Clone, PartialEq)]
+pub enum WorkloadDiff {
+    /// The latest two untraced records, judged.
+    Compared {
+        prev: Stamp,
+        latest: Stamp,
+        verdicts: Vec<Verdict>,
+    },
+    /// The latest two untraced records come from different hosts.
+    Incomparable { prev: Stamp, latest: Stamp },
+    /// Fewer than two untraced records.
+    Unpaired { workload: String, untraced: usize },
+}
+
+/// Every workload's diff, in order of first appearance in the history.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiffReport {
-    pub prev_label: String,
-    pub latest_label: String,
-    pub threshold: f64,
-    pub verdicts: Vec<Verdict>,
+    pub workloads: Vec<WorkloadDiff>,
+}
+
+/// Relative change from `prev` to `latest`, signed so that a positive
+/// value is worse.
+fn worsening(prev: f64, latest: f64, higher_is_better: bool) -> f64 {
+    let rise = if prev != 0.0 {
+        (latest - prev) / prev.abs()
+    } else if latest == 0.0 {
+        0.0
+    } else {
+        f64::INFINITY.copysign(latest)
+    };
+    if higher_is_better {
+        -rise
+    } else {
+        rise
+    }
+}
+
+fn classify(worse_by: f64, bound: f64) -> &'static str {
+    if worse_by > bound {
+        "REGRESSION"
+    } else if worse_by < -bound {
+        "IMPROVEMENT"
+    } else {
+        "NEUTRAL"
+    }
+}
+
+fn judge(prev: &PerfResult, latest: &PerfResult, bounds: &[Bound]) -> Vec<Verdict> {
+    let mut out: Vec<Verdict> = bounds
+        .iter()
+        .filter_map(|b| {
+            let (verdict, detail) = match (prev.metric(&b.name), latest.metric(&b.name)) {
+                (Some(p), Some(l)) => {
+                    let w = worsening(p, l, b.higher_is_better);
+                    let detail = format!(
+                        "prev={p} latest={l} worse_by={:+.1}% bound={:.0}%",
+                        w * 100.0,
+                        b.bound * 100.0
+                    );
+                    (classify(w, b.bound), detail)
+                }
+                (Some(p), None) => ("REMOVED", format!("prev={p}")),
+                (None, Some(l)) => ("ADDED", format!("latest={l}")),
+                (None, None) => return None,
+            };
+            Some(Verdict {
+                metric: b.name.clone(),
+                verdict,
+                detail,
+            })
+        })
+        .collect();
+    // Any rise in the failed share is a regression.
+    let (p, l) = (prev.failed_share(), latest.failed_share());
+    out.push(Verdict {
+        metric: "failed_share".into(),
+        verdict: classify(l - p, 0.0),
+        detail: format!("prev={p} latest={l}"),
+    });
+    out
+}
+
+/// Compares, per workload, the latest two untraced records of
+/// `records` under `bounds`.
+pub fn compare(records: &[Record], bounds: &[Bound]) -> DiffReport {
+    let mut names: Vec<&str> = Vec::new();
+    for r in records {
+        if !names.contains(&r.stamp.workload.as_str()) {
+            names.push(&r.stamp.workload);
+        }
+    }
+    let workloads = names
+        .into_iter()
+        .map(|name| {
+            let untraced: Vec<&Record> = records
+                .iter()
+                .filter(|r| r.stamp.workload == name && !r.stamp.traced)
+                .collect();
+            match untraced[..] {
+                [.., prev, latest] if prev.stamp.host != latest.stamp.host => {
+                    WorkloadDiff::Incomparable {
+                        prev: prev.stamp.clone(),
+                        latest: latest.stamp.clone(),
+                    }
+                }
+                [.., prev, latest] => WorkloadDiff::Compared {
+                    prev: prev.stamp.clone(),
+                    latest: latest.stamp.clone(),
+                    verdicts: judge(&prev.result, &latest.result, bounds),
+                },
+                _ => WorkloadDiff::Unpaired {
+                    workload: name.to_string(),
+                    untraced: untraced.len(),
+                },
+            }
+        })
+        .collect();
+    DiffReport { workloads }
 }
 
 impl DiffReport {
+    fn count(&self, verdict: &str) -> usize {
+        self.workloads
+            .iter()
+            .flat_map(|w| match w {
+                WorkloadDiff::Compared { verdicts, .. } => &verdicts[..],
+                _ => &[],
+            })
+            .filter(|v| v.verdict == verdict)
+            .count()
+    }
+
     pub fn regressions(&self) -> usize {
         self.count("REGRESSION")
     }
 
-    fn count(&self, verdict: &str) -> usize {
-        self.verdicts.iter().filter(|v| v.verdict == verdict).count()
+    /// Workloads that had a pair of untraced records, comparable or not.
+    pub fn paired(&self) -> usize {
+        self.workloads
+            .iter()
+            .filter(|w| !matches!(w, WorkloadDiff::Unpaired { .. }))
+            .count()
     }
 
-    /// One coded line per group plus a summary line — the gate output.
+    /// One coded line per judged quantity and per unjudged workload,
+    /// plus a summary line — the gate output.
     pub fn render(&self) -> String {
+        let run = |s: &Stamp| format!("'{}' seed {}", s.label, s.seed);
         let mut out = String::new();
-        for v in &self.verdicts {
-            out.push_str(&format!("benchdiff: {} group={}", v.verdict, v.group));
-            if let Some(prev) = v.prev {
-                out.push_str(&format!(" prev={prev:.1}"));
+        let mut incomparable = 0;
+        for w in &self.workloads {
+            match w {
+                WorkloadDiff::Compared {
+                    prev,
+                    latest,
+                    verdicts,
+                } => {
+                    let name = &prev.workload;
+                    out.push_str(&format!(
+                        "benchdiff: workload={name} {} vs {}\n",
+                        run(prev),
+                        run(latest)
+                    ));
+                    for v in verdicts {
+                        out.push_str(&format!(
+                            "benchdiff: {} workload={name} metric={} {}\n",
+                            v.verdict, v.metric, v.detail
+                        ));
+                    }
+                }
+                WorkloadDiff::Incomparable { prev, latest } => {
+                    incomparable += 1;
+                    out.push_str(&format!(
+                        "benchdiff: INCOMPARABLE workload={} {} on {} vs {} on {}\n",
+                        prev.workload,
+                        run(prev),
+                        prev.host,
+                        run(latest),
+                        latest.host
+                    ));
+                }
+                WorkloadDiff::Unpaired { workload, untraced } => {
+                    out.push_str(&format!(
+                        "benchdiff: UNPAIRED workload={workload} untraced_records={untraced}\n"
+                    ));
+                }
             }
-            if let Some(latest) = v.latest {
-                out.push_str(&format!(" latest={latest:.1}"));
-            }
-            if let Some(ratio) = v.ratio {
-                out.push_str(&format!(" ratio={ratio:.3}"));
-            }
-            out.push('\n');
         }
         out.push_str(&format!(
-            "benchdiff: '{}' vs '{}': {} regression(s), {} improvement(s), \
-             {} neutral (threshold {:.0}%)\n",
-            self.prev_label,
-            self.latest_label,
+            "benchdiff: {} workload(s) paired, {} incomparable: {} regression(s), \
+             {} improvement(s), {} neutral\n",
+            self.paired(),
+            incomparable,
             self.regressions(),
             self.count("IMPROVEMENT"),
             self.count("NEUTRAL"),
-            self.threshold * 100.0
         ));
         out
-    }
-}
-
-/// Compares two records group by group against a relative threshold.
-pub fn compare(prev: &HistoryRecord, latest: &HistoryRecord, threshold: f64) -> DiffReport {
-    let mut verdicts = Vec::new();
-    for g in &prev.groups {
-        match latest.groups.iter().find(|l| l.name == g.name) {
-            Some(l) => {
-                let ratio = if g.value > 0.0 { l.value / g.value } else { f64::NAN };
-                let verdict = if !ratio.is_finite() {
-                    "NEUTRAL"
-                } else if ratio < 1.0 - threshold {
-                    "REGRESSION"
-                } else if ratio > 1.0 + threshold {
-                    "IMPROVEMENT"
-                } else {
-                    "NEUTRAL"
-                };
-                verdicts.push(Verdict {
-                    group: g.name.clone(),
-                    prev: Some(g.value),
-                    latest: Some(l.value),
-                    ratio: Some(ratio),
-                    verdict,
-                });
-            }
-            None => verdicts.push(Verdict {
-                group: g.name.clone(),
-                prev: Some(g.value),
-                latest: None,
-                ratio: None,
-                verdict: "REMOVED",
-            }),
-        }
-    }
-    for l in &latest.groups {
-        if !prev.groups.iter().any(|g| g.name == l.name) {
-            verdicts.push(Verdict {
-                group: l.name.clone(),
-                prev: None,
-                latest: Some(l.value),
-                ratio: None,
-                verdict: "ADDED",
-            });
-        }
-    }
-    DiffReport {
-        prev_label: prev.label.clone(),
-        latest_label: latest.label.clone(),
-        threshold,
-        verdicts,
     }
 }
 
@@ -298,74 +509,191 @@ pub fn compare(prev: &HistoryRecord, latest: &HistoryRecord, threshold: f64) -> 
 mod tests {
     use super::*;
 
-    fn rec(label: &str, values: &[(&str, f64)]) -> HistoryRecord {
-        HistoryRecord {
-            ts_ms: 1,
-            label: label.into(),
-            source: "engine".into(),
-            groups: values
-                .iter()
-                .map(|&(n, v)| Group {
-                    name: n.into(),
-                    value: v,
-                })
-                .collect(),
+    const SPEC: &str = r#"{"end_to_end":[
+        {"name":"run_s","unit":"s","better":"lower","bound":0.25},
+        {"name":"sat_throughput","unit":"fraction","better":"higher","bound":0.1}]}"#;
+
+    fn host(model: &str) -> Host {
+        Host {
+            cpus: 2,
+            cpu_model: model.into(),
         }
     }
 
-    #[test]
-    fn records_round_trip_through_jsonl() {
-        let a = rec("base", &[("sf5/serial_eps", 1.25e6), ("sf5/best_speedup", 3.5)]);
-        let text = format!("{}\n{}\n", render_record(&a), render_record(&a));
-        let back = read_history(&text).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back[0].label, "base");
-        assert_eq!(back[0].groups, a.groups);
+    fn line(run_s: f64, sat: f64, failed: u64) -> String {
+        format!(
+            "{{\"correct\": true, \"attempted\": 10, \"failed\": {failed}, \"metrics\": \
+             {{\"run_s\": {{\"value\": {run_s}, \"unit\": \"s\"}}, \
+             \"sat_throughput\": {{\"value\": {sat}, \"unit\": \"fraction\"}}}}}}"
+        )
+    }
+
+    fn stamp(workload: &str, traced: bool, host: Host) -> Stamp {
+        Stamp {
+            ts_ms: 1,
+            label: "abc1234".into(),
+            workload: workload.into(),
+            seed: 1,
+            seconds: 30,
+            traced,
+            host,
+        }
+    }
+
+    fn record(workload: &str, traced: bool, host: Host, result: &str) -> String {
+        render_record(&stamp(workload, traced, host), result).unwrap()
+    }
+
+    /// An untraced record on the default host.
+    fn plain(workload: &str, result: &str) -> String {
+        record(workload, false, host("cpu"), result)
+    }
+
+    fn diff(lines: &[String]) -> DiffReport {
+        let records = read_history(&lines.join("\n")).unwrap();
+        compare(&records, &bounds_from_benchmark(SPEC).unwrap())
+    }
+
+    fn verdict_of(report: &DiffReport, workload: &str, metric: &str) -> &'static str {
+        report
+            .workloads
+            .iter()
+            .find_map(|w| match w {
+                WorkloadDiff::Compared { prev, verdicts, .. } if prev.workload == workload => {
+                    verdicts.iter().find(|v| v.metric == metric)
+                }
+                _ => None,
+            })
+            .unwrap()
+            .verdict
     }
 
     #[test]
-    fn torn_tail_is_skipped_but_inner_corruption_errors() {
-        let a = render_record(&rec("a", &[("g", 1.0)]));
-        let torn = format!("{a}\n{}", &a[..a.len() / 2]);
-        assert_eq!(read_history(&torn).unwrap().len(), 1);
+    fn records_round_trip_with_the_result_line_verbatim() {
+        let res = line(2.5, 0.75, 0);
+        let rec = plain("coral_sweep", &res);
+        assert!(rec.ends_with(&format!("\"result\":{res}}}")));
+        let back = read_history(&format!("{rec}\n{rec}\n")).unwrap();
+        assert_eq!(back.len(), 2);
+        assert_eq!(back[0].stamp, stamp("coral_sweep", false, host("cpu")));
+        assert_eq!(back[0].result.metric("run_s"), Some(2.5));
+        assert_eq!(back[0].result.attempted, 10);
+    }
+
+    #[test]
+    fn append_refuses_incorrect_and_mislabelled_results() {
+        let untraced = stamp("coral_sweep", false, host("cpu"));
+        let wrong = line(1.0, 1.0, 0).replace("\"correct\": true", "\"correct\": false");
+        assert!(render_record(&untraced, &wrong)
+            .unwrap_err()
+            .contains("correct"));
+        let traced = stamp("coral_sweep", true, host("cpu"));
+        assert!(render_record(&traced, &line(1.0, 1.0, 0)).is_err());
+        assert!(render_record(&untraced, "not json").is_err());
+        assert_eq!(result_line("progress\n{\"a\":1}\n\n").unwrap(), "{\"a\":1}");
+    }
+
+    #[test]
+    fn each_metric_is_judged_in_its_own_direction() {
+        let base = plain("w", &line(2.0, 0.8, 0));
+        // run_s: lower is better, bound 25%; sat_throughput: higher is
+        // better, bound 10%.
+        for (run_s, sat, metric, verdict) in [
+            (2.52, 0.8, "run_s", "REGRESSION"), // +26%
+            (2.48, 0.8, "run_s", "NEUTRAL"),    // +24%
+            (1.4, 0.8, "run_s", "IMPROVEMENT"),
+            (2.0, 0.71, "sat_throughput", "REGRESSION"), // −11%
+            (2.0, 0.89, "sat_throughput", "IMPROVEMENT"), // +11%
+        ] {
+            let r = diff(&[base.clone(), plain("w", &line(run_s, sat, 0))]);
+            assert_eq!(
+                verdict_of(&r, "w", metric),
+                verdict,
+                "{metric}: {run_s} {sat}"
+            );
+            assert_eq!(r.regressions(), usize::from(verdict == "REGRESSION"));
+        }
+        let text = diff(&[base, plain("w", &line(2.0, 0.89, 0))]).render();
+        assert!(text.contains(
+            "benchdiff: IMPROVEMENT workload=w metric=sat_throughput \
+             prev=0.8 latest=0.89 worse_by=-11.2% bound=10%"
+        ));
+    }
+
+    #[test]
+    fn a_rise_in_the_failed_share_trips() {
+        let r = diff(&[
+            plain("w", &line(2.0, 0.8, 0)),
+            plain("w", &line(2.0, 0.8, 1)),
+        ]);
+        assert_eq!(verdict_of(&r, "w", "failed_share"), "REGRESSION");
+        assert_eq!(r.regressions(), 1);
+    }
+
+    #[test]
+    fn a_host_mismatch_is_incomparable_never_a_regression() {
+        let r = diff(&[
+            record("w", false, host("cpu a"), &line(2.0, 0.8, 0)),
+            record("w", false, host("cpu b"), &line(9.0, 0.1, 5)),
+        ]);
+        assert!(matches!(r.workloads[0], WorkloadDiff::Incomparable { .. }));
+        assert_eq!(r.regressions(), 0);
+        assert_eq!(r.paired(), 1);
+        assert!(r.render().contains("benchdiff: INCOMPARABLE workload=w"));
+    }
+
+    #[test]
+    fn workloads_never_cross_compare() {
+        let r = diff(&[
+            plain("a", &line(1.0, 0.8, 0)),
+            plain("b", &line(9.0, 0.1, 0)),
+            plain("a", &line(1.1, 0.8, 0)),
+        ]);
+        assert_eq!(r.regressions(), 0);
+        assert!(matches!(&r.workloads[0], WorkloadDiff::Compared { .. }));
+        assert_eq!(
+            r.workloads[1],
+            WorkloadDiff::Unpaired {
+                workload: "b".into(),
+                untraced: 1
+            }
+        );
+    }
+
+    #[test]
+    fn traced_records_are_skipped() {
+        let traced = "{\"correct\": true, \"attempted\": 10, \"failed\": 9, \"metrics\": \
+                      {\"run_s_traced\": {\"value\": 50.0, \"unit\": \"s\"}}}";
+        let r = diff(&[
+            plain("w", &line(2.0, 0.8, 0)),
+            record("w", true, host("cpu"), traced),
+            plain("w", &line(2.1, 0.8, 0)),
+            record("w", true, host("other"), traced),
+        ]);
+        let WorkloadDiff::Compared { verdicts, .. } = &r.workloads[0] else {
+            panic!("expected a compared pair: {r:?}");
+        };
+        assert!(verdicts.iter().all(|v| v.verdict == "NEUTRAL"));
+    }
+
+    #[test]
+    fn a_torn_tail_is_tolerated_but_inner_corruption_errors() {
+        let a = plain("w", &line(2.0, 0.8, 0));
+        let torn = format!("{a}\n{a}\n{}", &a[..a.len() / 2]);
+        assert_eq!(read_history(&torn).unwrap().len(), 2);
         let inner = format!("{}\n{a}\n", &a[..a.len() / 2]);
         assert!(read_history(&inner).is_err());
     }
 
     #[test]
-    fn verdicts_split_on_the_threshold() {
-        let prev = rec("prev", &[("a", 100.0), ("b", 100.0), ("c", 100.0), ("gone", 5.0)]);
-        let latest = rec("new", &[("a", 80.0), ("b", 120.0), ("c", 104.0), ("fresh", 7.0)]);
-        let report = compare(&prev, &latest, 0.15);
-        let verdict_of = |name: &str| {
-            report
-                .verdicts
-                .iter()
-                .find(|v| v.group == name)
-                .unwrap()
-                .verdict
-        };
-        assert_eq!(verdict_of("a"), "REGRESSION");
-        assert_eq!(verdict_of("b"), "IMPROVEMENT");
-        assert_eq!(verdict_of("c"), "NEUTRAL");
-        assert_eq!(verdict_of("gone"), "REMOVED");
-        assert_eq!(verdict_of("fresh"), "ADDED");
-        assert_eq!(report.regressions(), 1);
-        let text = report.render();
-        assert!(text.contains("benchdiff: REGRESSION group=a prev=100.0 latest=80.0 ratio=0.800"));
-        assert!(text.contains("1 regression(s), 1 improvement(s), 1 neutral"));
-    }
-
-    #[test]
-    fn engine_bench_groups_extract_per_case() {
-        let doc = r#"{"schema":"d2net.bench-engine/v1","cases":[
-            {"name":"sf5","serial_events_per_sec":2.0e6,"best_speedup":3.1},
-            {"name":"mlfm4","serial_events_per_sec":1.5e6,"best_speedup":2.2}]}"#;
-        let groups = groups_from_engine_bench(doc).unwrap();
-        assert_eq!(groups.len(), 4);
-        assert_eq!(groups[0].name, "sf5/serial_eps");
-        assert!((groups[0].value - 2.0e6).abs() < 1.0);
-        assert_eq!(groups[3].name, "mlfm4/best_speedup");
-        assert!(groups_from_engine_bench("{\"schema\":\"other\"}").is_err());
+    fn bounds_come_from_the_benchmark_spec() {
+        let b = bounds_from_benchmark(SPEC).unwrap();
+        assert_eq!(b.len(), 2);
+        assert!(!b[0].higher_is_better && b[0].bound == 0.25);
+        assert!(b[1].higher_is_better && b[1].bound == 0.1);
+        assert!(
+            bounds_from_benchmark(r#"{"end_to_end":[{"name":"x","better":"up","bound":1}]}"#)
+                .is_err()
+        );
     }
 }

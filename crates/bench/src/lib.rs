@@ -1,53 +1,4 @@
-//! Shared helpers for the figure-regeneration benchmarks.
-//!
-//! Each bench binary corresponds to one or more paper artifacts (see
-//! DESIGN.md §3). Benchmarks use deliberately small instances and short
-//! simulated horizons so `cargo bench` completes quickly while still
-//! exercising exactly the code paths that regenerate the figures; the
-//! `paper_figures` example produces the full-size data.
+//! `bench_diff`: the perf history of `perfbench` runs and the
+//! regression gate over it (see [`diff`] and EXPERIMENTS.md).
 
-use d2net_core::configs::RunParams;
-use d2net_core::prelude::*;
-
-pub mod analysis_timing;
 pub mod diff;
-pub mod engine_timing;
-pub mod timing;
-
-/// The smallest instance of each evaluation family, used by the
-/// simulation benches.
-pub fn bench_topologies() -> Vec<Network> {
-    vec![slim_fly(5, SlimFlyP::Floor), mlfm(4), oft(4)]
-}
-
-/// Short-horizon run parameters for benchmarking (10 µs + 2 µs warm-up).
-pub fn bench_params() -> RunParams {
-    RunParams {
-        duration_ns: 10_000,
-        warmup_ns: 2_000,
-        loads: vec![0.5, 1.0],
-        sim: SimConfig::default(),
-    }
-}
-
-/// One short synthetic run; returns accepted throughput (consumed by
-/// `black_box` in the benches).
-pub fn quick_run(net: &Network, algo: Algorithm, pattern: &SyntheticPattern, load: f64) -> f64 {
-    let policy = RoutePolicy::new(net, algo);
-    let stats = run_synthetic(net, &policy, pattern, load, 10_000, 2_000, SimConfig::default());
-    assert!(!stats.deadlocked);
-    stats.throughput
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn helpers_work() {
-        let nets = bench_topologies();
-        assert_eq!(nets.len(), 3);
-        let thr = quick_run(&nets[1], Algorithm::Minimal, &SyntheticPattern::Uniform, 0.5);
-        assert!(thr > 0.4);
-    }
-}

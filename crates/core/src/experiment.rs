@@ -47,7 +47,7 @@ pub struct Curve {
 }
 
 /// Curves plus the structured notices their sweeps raised — what the
-/// parallel figure drivers return so callers can route notices into a
+/// figure drivers return so callers can route notices into a
 /// [`crate::report::RunManifest`] instead of stderr.
 #[derive(Debug, Clone)]
 pub struct CurveSet {
@@ -55,25 +55,32 @@ pub struct CurveSet {
     pub notices: Vec<SweepNotice>,
 }
 
-/// Fans labelled sweep jobs across `threads` workers and reassembles
-/// them in job order. Each job runs one whole curve on one worker, the
-/// budget divided by the largest shard count any curve's points use;
-/// per-point seeds make the result identical to running the jobs
-/// serially.
+/// Fans labelled sweep jobs across `threads` workers (`0` = auto) and
+/// reassembles them in job order; one thread is the serial driver.
+/// Each job builds its policy, runs one whole curve on one worker and
+/// drops the policy, so a serial run holds one route table at a time.
+/// The budget is divided by the largest shard count any network's
+/// points use, planned on its minimal policy (no other algorithm the
+/// drivers run shards more). Per-point seeds make the result identical
+/// at every thread count.
 fn curves_in_parallel(
-    jobs: Vec<(String, RoutePolicy, SyntheticPattern, &Network)>,
+    jobs: Vec<(String, &Network, Algorithm, SyntheticPattern)>,
     params: &RunParams,
     threads: usize,
 ) -> CurveSet {
-    let shards = jobs
+    // The drivers queue each network's jobs together.
+    let mut nets: Vec<&Network> = jobs.iter().map(|&(_, net, _, _)| net).collect();
+    nets.dedup_by(|a, b| std::ptr::eq(*a, *b));
+    let shards = nets
         .iter()
-        .map(|(_, policy, _, net)| plan_shards(net, policy, &params.sim))
+        .map(|net| plan_shards(net, &RoutePolicy::new(net, Algorithm::Minimal), &params.sim))
         .max()
         .unwrap_or(1);
     let tasks: Vec<_> = jobs
         .into_iter()
-        .map(|(label, policy, pattern, net)| {
+        .map(|(label, net, algo, pattern)| {
             move || {
+                let policy = RoutePolicy::new(net, algo);
                 let out = sweep(
                     net,
                     &policy,
@@ -241,48 +248,18 @@ pub fn fig4(restarts: usize) -> Vec<(String, u32, f64)> {
 }
 
 /// **Fig. 6**: throughput vs offered load under oblivious routing (MIN
-/// and INR) for each evaluation topology, under `traffic`.
-pub fn fig6(nets: &[Network], traffic: Traffic, params: &RunParams) -> Vec<Curve> {
-    let mut out = Vec::new();
-    for net in nets {
-        let pattern = traffic.pattern(net);
-        for (algo, tag) in [(Algorithm::Minimal, "MIN"), (Algorithm::Valiant, "INR")] {
-            let policy = RoutePolicy::new(net, algo);
-            let swept = sweep(
-                net,
-                &policy,
-                &pattern,
-                &params.loads,
-                params.duration_ns,
-                params.warmup_ns,
-                params.sim,
-                Observers::default(),
-                1,
-            );
-            swept.print_notices();
-            let points = swept.points;
-            out.push(Curve {
-                label: format!("{} {} {}", net.name(), tag, traffic.label()),
-                points,
-            });
-        }
-    }
-    out
-}
-
-/// [`fig6`] with curves fanned across `threads` workers (`0` = auto).
-/// Point-for-point identical to the serial driver; notices are returned
-/// instead of printed.
-pub fn fig6_par(nets: &[Network], traffic: Traffic, params: &RunParams, threads: usize) -> CurveSet {
+/// and INR) for each evaluation topology, under `traffic`, with the
+/// curves fanned across `threads` workers (`0` = auto, `1` = serial).
+pub fn fig6(nets: &[Network], traffic: Traffic, params: &RunParams, threads: usize) -> CurveSet {
     let mut jobs = Vec::new();
     for net in nets {
         let pattern = traffic.pattern(net);
         for (algo, tag) in [(Algorithm::Minimal, "MIN"), (Algorithm::Valiant, "INR")] {
             jobs.push((
                 format!("{} {} {}", net.name(), tag, traffic.label()),
-                RoutePolicy::new(net, algo),
-                pattern.clone(),
                 net,
+                algo,
+                pattern.clone(),
             ));
         }
     }
@@ -290,50 +267,10 @@ pub fn fig6_par(nets: &[Network], traffic: Traffic, params: &RunParams, threads:
 }
 
 /// Generic driver behind **Figs. 7–12**: sweeps a UGAL parameter on one
-/// topology under both UNI and WC traffic. `variants` are
+/// topology under both UNI and WC traffic, with the curves fanned
+/// across `threads` workers (`0` = auto, `1` = serial). `variants` are
 /// `(label, n_i, c, threshold)` tuples.
 pub fn adaptive_sweep(
-    net: &Network,
-    variants: &[(String, usize, f64, Option<f64>)],
-    params: &RunParams,
-) -> Vec<Curve> {
-    let mut out = Vec::new();
-    for traffic in [Traffic::Uniform, Traffic::WorstCase] {
-        let pattern = traffic.pattern(net);
-        for (label, n_i, c, threshold) in variants {
-            let policy = RoutePolicy::new(
-                net,
-                Algorithm::Ugal {
-                    n_i: *n_i,
-                    c: *c,
-                    threshold: *threshold,
-                },
-            );
-            let swept = sweep(
-                net,
-                &policy,
-                &pattern,
-                &params.loads,
-                params.duration_ns,
-                params.warmup_ns,
-                params.sim,
-                Observers::default(),
-                1,
-            );
-            swept.print_notices();
-            let points = swept.points;
-            out.push(Curve {
-                label: format!("{} {} {}", net.name(), label, traffic.label()),
-                points,
-            });
-        }
-    }
-    out
-}
-
-/// [`adaptive_sweep`] with curves fanned across `threads` workers
-/// (`0` = auto). Point-for-point identical to the serial driver.
-pub fn adaptive_sweep_par(
     net: &Network,
     variants: &[(String, usize, f64, Option<f64>)],
     params: &RunParams,
@@ -345,16 +282,13 @@ pub fn adaptive_sweep_par(
         for (label, n_i, c, threshold) in variants {
             jobs.push((
                 format!("{} {} {}", net.name(), label, traffic.label()),
-                RoutePolicy::new(
-                    net,
-                    Algorithm::Ugal {
-                        n_i: *n_i,
-                        c: *c,
-                        threshold: *threshold,
-                    },
-                ),
-                pattern.clone(),
                 net,
+                Algorithm::Ugal {
+                    n_i: *n_i,
+                    c: *c,
+                    threshold: *threshold,
+                },
+                pattern.clone(),
             ));
         }
     }
@@ -525,27 +459,53 @@ mod tests {
         }
     }
 
+    /// One run at full load over the 10 µs (2 µs warm-up) horizon of
+    /// the short Fig. 6 pins; returns its accepted throughput.
+    fn short_run(net: &Network, algo: Algorithm, pattern: &SyntheticPattern) -> f64 {
+        let policy = RoutePolicy::new(net, algo);
+        let stats = d2net_sim::run_synthetic(
+            net,
+            &policy,
+            pattern,
+            1.0,
+            10_000,
+            2_000,
+            SimConfig::default(),
+        );
+        assert!(!stats.deadlocked, "{} under {algo:?}", net.name());
+        stats.throughput
+    }
+
     #[test]
     fn fig6_uniform_shape() {
         // MIN saturates near full bandwidth; INR near half (paper §4.3.1).
         let nets = vec![mlfm(4)];
-        let curves = fig6(&nets, Traffic::Uniform, &tiny_params());
+        let curves = fig6(&nets, Traffic::Uniform, &tiny_params(), 1).curves;
         assert_eq!(curves.len(), 2);
         let min_full = curves[0].points.last().unwrap().stats.throughput;
         let inr_full = curves[1].points.last().unwrap().stats.throughput;
         assert!(min_full > 0.9, "MIN {min_full}");
         assert!((inr_full - 0.5).abs() < 0.1, "INR {inr_full}");
+        // Already at the short horizon, MIN carries nearly full load.
+        let min_uni = short_run(&nets[0], Algorithm::Minimal, &SyntheticPattern::Uniform);
+        assert!(min_uni > 0.85, "MIN UNI {min_uni}");
     }
 
     #[test]
     fn fig6_worst_case_shape() {
         // MIN collapses to 1/h; INR recovers to ~0.4-0.5 (paper Fig. 6b).
         let nets = vec![mlfm(4)];
-        let curves = fig6(&nets, Traffic::WorstCase, &tiny_params());
+        let curves = fig6(&nets, Traffic::WorstCase, &tiny_params(), 1).curves;
         let min_full = curves[0].points.last().unwrap().stats.throughput;
         let inr_full = curves[1].points.last().unwrap().stats.throughput;
         assert!((min_full - 0.25).abs() < 0.05, "MIN WC {min_full}");
         assert!(inr_full > min_full, "INR {inr_full} vs MIN {min_full}");
+        // The same shape at the short horizon.
+        let wc = worst_case(&nets[0]);
+        let min_wc = short_run(&nets[0], Algorithm::Minimal, &wc);
+        let inr_wc = short_run(&nets[0], Algorithm::Valiant, &wc);
+        assert!(min_wc < 0.35, "MIN WC {min_wc}");
+        assert!(inr_wc > min_wc, "INR WC {inr_wc} vs MIN WC {min_wc}");
     }
 
     #[test]
@@ -601,18 +561,63 @@ mod tests {
         assert_eq!(t[12], vec![12, 2, 4, 6]);
     }
 
+    /// The fanned figure drivers and the Fig. 13 run matrix give the
+    /// same curves, notices and exchange stats at 1 and 2 threads.
     #[test]
-    fn fig6_par_matches_serial_driver() {
-        let nets = vec![mlfm(4)];
-        let params = tiny_params();
-        let serial = fig6(&nets, Traffic::Uniform, &params);
-        let par = fig6_par(&nets, Traffic::Uniform, &params, 2);
-        assert_eq!(par.curves.len(), serial.len());
-        for (a, b) in par.curves.iter().zip(&serial) {
-            assert_eq!(a.label, b.label);
-            assert_eq!(a.points, b.points, "curve {} diverged", a.label);
+    fn figure_drivers_match_at_one_and_two_threads() {
+        let short = RunParams {
+            duration_ns: 10_000,
+            warmup_ns: 2_000,
+            loads: vec![0.5, 1.0],
+            sim: SimConfig::default(),
+        };
+        let same = |serial: CurveSet, par: CurveSet| {
+            assert_eq!(par.curves.len(), serial.curves.len());
+            assert_eq!(par.notices, serial.notices);
+            for (a, b) in par.curves.iter().zip(&serial.curves) {
+                assert_eq!(a.label, b.label);
+                assert_eq!(a.points, b.points, "curve {} diverged", a.label);
+            }
+        };
+        let small = [slim_fly(5, SlimFlyP::Floor), mlfm(4), oft(4)];
+        for (nets, params) in [(&small[1..2], tiny_params()), (&small[..], short.clone())] {
+            let serial = fig6(nets, Traffic::Uniform, &params, 1);
+            assert!(
+                serial.notices.is_empty(),
+                "no wedge expected on uniform traffic"
+            );
+            same(serial, fig6(nets, Traffic::Uniform, &params, 2));
         }
-        assert!(par.notices.is_empty(), "no wedge expected on MLFM uniform");
+        let variants: Vec<_> = adaptive_variants(9, 'a').into_iter().take(2).collect();
+        same(
+            adaptive_sweep(&small[1], &variants, &short, 1),
+            adaptive_sweep(&small[1], &variants, &short, 2),
+        );
+
+        let fig13_matrix = |threads: usize| {
+            let jobs: Vec<_> = small
+                .iter()
+                .flat_map(|net| {
+                    let ex = all_to_all_shuffled(net.num_nodes(), 512, 7);
+                    exchange_algos(net).into_iter().map(move |(label, algo)| {
+                        let ex = ex.clone();
+                        move || {
+                            let policy = RoutePolicy::new(net, algo);
+                            (
+                                label,
+                                run_exchange(net, &policy, &ex, 1, SimConfig::default()),
+                            )
+                        }
+                    })
+                })
+                .collect();
+            par_curves(jobs, threads)
+        };
+        assert_eq!(
+            fig13_matrix(1),
+            fig13_matrix(2),
+            "exchange fan-out diverged"
+        );
     }
 
     #[test]

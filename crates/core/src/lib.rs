@@ -69,9 +69,9 @@ pub mod prelude {
         divergence_gate, link_residuals, measured_saturation, DivergenceGateConfig, LinkResiduals,
     };
     pub use crate::experiment::{
-        adaptive_sweep, adaptive_sweep_par, adaptive_variants, best_adaptive, diversity_report,
-        fig13, fig14, fig3, fig4, fig6, fig6_par, ledgered_curve, table2, traced_curve, Curve,
-        CurveSet, ExchangeRow, LedgeredCurve, TracedCurve, Traffic,
+        adaptive_sweep, adaptive_variants, best_adaptive, diversity_report, fig13, fig14, fig3,
+        fig4, fig6, ledgered_curve, table2, traced_curve, Curve, CurveSet, ExchangeRow,
+        LedgeredCurve, TracedCurve, Traffic,
     };
     pub use crate::journal::{fnv1a, write_atomic, JournalReplay, PointJournal};
     pub use crate::obs;

@@ -14,21 +14,6 @@ use d2net_topo::Network;
 use d2net_verify::VerifySummary;
 use std::cmp::Ordering;
 
-/// Wall-clock timing of one sweep, serial vs parallel — the manifest's
-/// perf-trajectory record (see also the standalone `BENCH_sweep.json`
-/// emitted by the bench harness).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepTiming {
-    /// Wall-clock of the serial sweep, milliseconds.
-    pub serial_ms: f64,
-    /// Wall-clock of the parallel sweep, milliseconds.
-    pub parallel_ms: f64,
-    /// Worker threads the parallel sweep ran with.
-    pub threads: u32,
-    /// Number of sweep points timed.
-    pub points: u32,
-}
-
 /// The `"sharding"` section of a [`RunManifest`]: how one thread budget
 /// was split between point-level workers and intra-run shards (see
 /// `d2net_sim::shard`). Recorded for forensics only; every simulated
@@ -79,35 +64,6 @@ impl SupervisionManifest {
             && self.skipped_by_resume == 0
             && self.not_run == 0
             && self.journal_lines_skipped == 0
-    }
-}
-
-impl SweepTiming {
-    /// Serial wall-clock over parallel wall-clock.
-    pub fn speedup(&self) -> f64 {
-        if self.parallel_ms > 0.0 {
-            self.serial_ms / self.parallel_ms
-        } else {
-            0.0
-        }
-    }
-
-    /// Points per second of the serial sweep.
-    pub fn serial_points_per_sec(&self) -> f64 {
-        if self.serial_ms > 0.0 {
-            self.points as f64 * 1_000.0 / self.serial_ms
-        } else {
-            0.0
-        }
-    }
-
-    /// Points per second of the parallel sweep.
-    pub fn parallel_points_per_sec(&self) -> f64 {
-        if self.parallel_ms > 0.0 {
-            self.points as f64 * 1_000.0 / self.parallel_ms
-        } else {
-            0.0
-        }
     }
 }
 
@@ -499,9 +455,9 @@ impl JsonWriter {
     }
 
     /// Splices a pre-serialized JSON value verbatim — the embedding hook
-    /// for composite documents (e.g. `BENCH_sweep.json` wrapping a full
-    /// [`RunManifest::to_json`] next to its timing records). The caller
-    /// vouches that `json` is a complete, valid JSON value.
+    /// for composite documents (e.g. a `bench_diff` history record
+    /// carrying a `perfbench` result line). The caller vouches that
+    /// `json` is a complete, valid JSON value.
     pub fn raw(&mut self, json: &str) -> &mut Self {
         self.comma();
         self.out.push_str(json);
@@ -579,9 +535,6 @@ pub struct RunManifest {
     /// Outcome of the static preflight verifier, when one ran for this
     /// campaign ([`RunManifest::set_preflight`]); `None` otherwise.
     pub preflight: Option<VerifySummary>,
-    /// Serial-vs-parallel wall-clock of this campaign's sweeps, when the
-    /// caller timed them ([`RunManifest::set_timing`]).
-    pub timing: Option<SweepTiming>,
     /// Structured notices the sweeps raised (early-abort on wedge, …),
     /// captured here instead of interleaving on stderr.
     pub notices: Vec<SweepNotice>,
@@ -637,7 +590,6 @@ impl RunManifest {
             warmup_ns,
             sim,
             preflight: None,
-            timing: None,
             notices: Vec::new(),
             supervision: None,
             faults: None,
@@ -658,12 +610,6 @@ impl RunManifest {
     /// [`d2net_verify::Report::summary`]).
     pub fn set_preflight(&mut self, summary: VerifySummary) -> &mut Self {
         self.preflight = Some(summary);
-        self
-    }
-
-    /// Records serial-vs-parallel sweep wall-clock for this campaign.
-    pub fn set_timing(&mut self, timing: SweepTiming) -> &mut Self {
-        self.timing = Some(timing);
         self
     }
 
@@ -801,23 +747,6 @@ impl RunManifest {
                 w.key("warnings").u64(p.warnings as u64);
                 w.key("infos").u64(p.infos as u64);
                 w.key("cdg_cycle_len").u64(p.cdg_cycle_len as u64);
-                w.end_object();
-            }
-        }
-        w.key("timing");
-        match &self.timing {
-            None => {
-                w.null();
-            }
-            Some(t) => {
-                w.begin_object();
-                w.key("serial_ms").f64(t.serial_ms);
-                w.key("parallel_ms").f64(t.parallel_ms);
-                w.key("threads").u64(t.threads as u64);
-                w.key("points").u64(t.points as u64);
-                w.key("serial_points_per_sec").f64(t.serial_points_per_sec());
-                w.key("parallel_points_per_sec").f64(t.parallel_points_per_sec());
-                w.key("speedup").f64(t.speedup());
                 w.end_object();
             }
         }
@@ -1233,24 +1162,22 @@ mod tests {
     }
 
     #[test]
-    fn timing_and_notices_serialize() {
+    fn notices_serialize() {
         use d2net_sim::{SimConfig, SweepNotice};
         use d2net_topo::mlfm;
 
         let net = mlfm(4);
         let mut m = RunManifest::new(
-            "timed", &net, "MIN", "uniform", 30_000, 6_000, SimConfig::default(),
+            "noticed",
+            &net,
+            "MIN",
+            "uniform",
+            30_000,
+            6_000,
+            SimConfig::default(),
         );
-        let s = m.to_json();
-        assert!(s.contains("\"timing\":null"));
-        assert!(s.contains("\"notices\":[]"));
+        assert!(m.to_json().contains("\"notices\":[]"));
 
-        m.set_timing(SweepTiming {
-            serial_ms: 800.0,
-            parallel_ms: 200.0,
-            threads: 4,
-            points: 8,
-        });
         m.push_notices(&[SweepNotice::new(
             "wedged",
             5,
@@ -1258,9 +1185,6 @@ mod tests {
             "network wedged at offered load 0.750".into(),
         )]);
         let s = m.to_json();
-        assert!(s.contains("\"serial_ms\":800.000000"));
-        assert!(s.contains("\"speedup\":4.000000"));
-        assert!(s.contains("\"serial_points_per_sec\":10.000000"));
         assert!(s.contains("\"notices\":[{\"code\":\"wedged\",\"index\":5,\"load\":0.750000"));
         assert_eq!(s.matches('{').count(), s.matches('}').count());
     }

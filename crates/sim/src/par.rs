@@ -27,8 +27,8 @@ pub fn resolve_threads(threads: usize) -> usize {
 }
 
 /// Runs `jobs` on a scoped pool of `threads` workers (`0` = auto) and
-/// returns their results in job order. The combinator the bench harness
-/// uses to fan out whole curves (each job simulating one
+/// returns their results in job order. The combinator the figure
+/// drivers use to fan out whole curves (each job simulating one
 /// topology × policy × pattern curve).
 pub fn par_curves<T, F>(jobs: Vec<F>, threads: usize) -> Vec<T>
 where

@@ -9,14 +9,15 @@
 //! fig13, fig14, diversity, all
 //!
 //! Runs the paper's CORAL-Summit-scale configs (§4.1) by default —
-//! intra-run sharding (`D2NET_SHARDS`, DESIGN.md §14) and `--par` keep
-//! the runtimes tractable; see EXPERIMENTS.md. `--small` switches to
-//! the reduced ~400-600-node configurations for laptop-speed turnaround
-//! (`--full` is still accepted and names the default).
+//! each figure's curves fan across the worker pool and intra-run
+//! sharding (`D2NET_SHARDS`, DESIGN.md §14) splits each point, which
+//! keeps the runtimes tractable; see EXPERIMENTS.md. `D2NET_THREADS`
+//! pins the worker count (`D2NET_THREADS=1` is the serial run; output
+//! is identical at every count), and sweep notices are printed once per
+//! figure. `--small` switches to the reduced ~400-600-node
+//! configurations for laptop-speed turnaround (`--full` is still
+//! accepted and names the default).
 //! `--svg <dir>` additionally renders each simulated figure to SVG.
-//! `--par` fans each figure's curves across the worker pool
-//! (`D2NET_THREADS` pins the count); output is identical to the serial
-//! drivers, with sweep notices printed once per figure.
 
 use d2net::prelude::*;
 use std::path::PathBuf;
@@ -50,36 +51,17 @@ fn main() {
     };
     let params = RunParams::for_scale(scale);
     let svg = svg_dir(&args);
-    let par = args.iter().any(|a| a == "--par");
     let threads = resolve_threads(0);
 
     let run = |name: &str| artifact == name || artifact == "all";
 
-    // `--par` routes through the fanned drivers; they return notices
-    // instead of printing, so surface them here.
-    let fig6_curves = |nets: &[Network], traffic: Traffic| -> Vec<Curve> {
-        if par {
-            let set = fig6_par(nets, traffic, &params, threads);
-            for n in &set.notices {
-                eprintln!("{}", n.render());
-            }
-            set.curves
-        } else {
-            fig6(nets, traffic, &params)
+    // The drivers return their notices instead of printing them.
+    let curves_of = |set: CurveSet| -> Vec<Curve> {
+        for n in &set.notices {
+            eprintln!("{}", n.render());
         }
+        set.curves
     };
-    let adaptive_curves =
-        |net: &Network, variants: &[(String, usize, f64, Option<f64>)]| -> Vec<Curve> {
-            if par {
-                let set = adaptive_sweep_par(net, variants, &params, threads);
-                for n in &set.notices {
-                    eprintln!("{}", n.render());
-                }
-                set.curves
-            } else {
-                adaptive_sweep(net, variants, &params)
-            }
-        };
 
     if run("table2") {
         println!("== Table 2: 4-ML3B ==");
@@ -100,7 +82,7 @@ fn main() {
     if run("fig6a") {
         println!("== Fig. 6a: oblivious routing, uniform traffic ({scale:?}) ==");
         let nets = eval_topologies(scale);
-        let curves = fig6_curves(&nets, Traffic::Uniform);
+        let curves = curves_of(fig6(&nets, Traffic::Uniform, &params, threads));
         print!("{}", render_curves(&curves));
         save_svg(&svg, "fig6a_throughput", throughput_chart("Fig 6a: MIN/INR, uniform", &curves).render());
         save_svg(&svg, "fig6a_delay", delay_chart("Fig 6a: delay, uniform", &curves).render());
@@ -108,7 +90,7 @@ fn main() {
     if run("fig6b") {
         println!("== Fig. 6b: oblivious routing, worst-case traffic ({scale:?}) ==");
         let nets = eval_topologies(scale);
-        let curves = fig6_curves(&nets, Traffic::WorstCase);
+        let curves = curves_of(fig6(&nets, Traffic::WorstCase, &params, threads));
         print!("{}", render_curves(&curves));
         save_svg(&svg, "fig6b_throughput", throughput_chart("Fig 6b: MIN/INR, worst case", &curves).render());
         save_svg(&svg, "fig6b_delay", delay_chart("Fig 6b: delay, worst case", &curves).render());
@@ -132,7 +114,7 @@ fn main() {
             };
             println!("== Fig. {fig}{panel}: {kind} on {} ({scale:?}) ==", net.name());
             let variants = adaptive_variants(fig, panel);
-            let curves = adaptive_curves(net, &variants);
+            let curves = curves_of(adaptive_sweep(net, &variants, &params, threads));
             print!("{}", render_curves(&curves));
             let base = format!("fig{fig}{panel}");
             save_svg(&svg, &format!("{base}_throughput"),

@@ -33,6 +33,22 @@ fn wc_saturation_matches_analysis() {
             expected
         );
     }
+
+    // Figs. 7–12: adaptive routing recovers much of the worst case that
+    // minimal routing collapses on.
+    let net = mlfm(4);
+    let wc = worst_case(&net);
+    let at_full_load = |algo| {
+        let policy = RoutePolicy::new(&net, algo);
+        run_synthetic(&net, &policy, &wc, 1.0, 30_000, 6_000, SimConfig::default()).throughput
+    };
+    let ugal = Algorithm::Ugal {
+        n_i: 5,
+        c: 2.0,
+        threshold: None,
+    };
+    let (u_wc, m_wc) = (at_full_load(ugal), at_full_load(Algorithm::Minimal));
+    assert!(u_wc > 1.2 * m_wc, "UGAL WC {u_wc} vs MIN WC {m_wc}");
 }
 
 /// §3.4: every (topology, routing) combination used in the evaluation is
@@ -111,7 +127,7 @@ fn fig6_pipeline_reduced() {
         sim: SimConfig::default(),
     };
     let nets = vec![mlfm(5), oft(4)];
-    let curves = fig6(&nets, Traffic::Uniform, &params);
+    let curves = fig6(&nets, Traffic::Uniform, &params, 0).curves;
     assert_eq!(curves.len(), 4);
     for c in &curves {
         // Accepted throughput is non-decreasing in offered load (within
@@ -133,6 +149,29 @@ fn fig6_pipeline_reduced() {
         let inr_sat = pair[1].points.last().unwrap().stats.throughput;
         assert!(min_sat > inr_sat, "{}: {min_sat} <= {inr_sat}", pair[0].label);
     }
+
+    // §4.3.1: the Slim Fly with p = ⌈r'/2⌉ saturates earlier on uniform
+    // traffic than p = ⌊r'/2⌋.
+    let uniform_at_full_load = |net: &Network| {
+        let policy = RoutePolicy::new(net, Algorithm::Minimal);
+        let pattern = SyntheticPattern::Uniform;
+        run_synthetic(
+            net,
+            &policy,
+            &pattern,
+            1.0,
+            60_000,
+            12_000,
+            SimConfig::default(),
+        )
+        .throughput
+    };
+    let tf = uniform_at_full_load(&slim_fly(7, SlimFlyP::Floor));
+    let tc = uniform_at_full_load(&slim_fly(7, SlimFlyP::Ceil));
+    assert!(
+        tf > tc,
+        "floor ({tf}) must out-saturate ceil ({tc}) on uniform traffic"
+    );
 }
 
 /// §4.4/Fig. 13: A2A effective throughput — MIN ≈ adaptive ≈ 2× INR.

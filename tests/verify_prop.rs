@@ -391,6 +391,34 @@ fn predicted_ring_deadlock_happens_in_simulation() {
     assert!(stats.deadlocked, "the predicted deadlock must materialize");
     let forensics = probe.deadlock.expect("wedged run carries forensics");
     assert!(!forensics.cycle.is_empty());
+
+    // The VC ablation on an evaluated family: MLFM(h=4) Valiant on its
+    // worst case with tight buffers. The paper's two-VC scheme stays
+    // live; squeezed onto one VC, the same routes wedge or degrade.
+    let net = mlfm(4);
+    let wc = worst_case(&net);
+    let cfg = SimConfig {
+        buffer_bytes: 2_048,
+        ..Default::default()
+    };
+    let valiant = |scheme| {
+        let policy = RoutePolicy::with_overrides(
+            &net,
+            Algorithm::Valiant,
+            scheme,
+            IntermediateSet::EndpointRouters,
+            false,
+        );
+        run_synthetic(&net, &policy, &wc, 1.0, 100_000, 20_000, cfg)
+    };
+    let (good, bad) = (valiant(VcScheme::PhaseBased), valiant(VcScheme::SingleVc));
+    assert!(!good.deadlocked);
+    assert!(
+        bad.deadlocked || bad.throughput < good.throughput,
+        "single-VC should wedge or degrade: {} vs {}",
+        bad.throughput,
+        good.throughput
+    );
 }
 
 #[test]
