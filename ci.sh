@@ -50,11 +50,11 @@
 #                     request lifecycle codes.
 #   --bench-diff      additionally runs the bench-regression gate: two
 #                     short real perfbench runs appended to a temp
-#                     history, bench_diff compare produces coded
-#                     verdicts, a planted regression (a copied result
-#                     line with run_s x1.5) must trip the gate with exit
-#                     1, and a record with an edited host stamp must be
-#                     reported INCOMPARABLE without tripping it.
+#                     history as two builds, bench_diff compare produces
+#                     coded verdicts, a planted regression (a copied
+#                     result line with run_s x1.5) must trip the gate
+#                     with exit 1, and a record with an edited host stamp
+#                     must be reported INCOMPARABLE without tripping it.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -279,15 +279,17 @@ if [[ "$BENCH_DIFF" == "1" ]]; then
   trap 'rm -rf "$DIFFD"' EXIT
   HIST="$DIFFD/bench_history.jsonl"
   LABEL=$(git rev-parse --short HEAD 2>/dev/null || echo run)
+  # compare judges builds (labels), so the two runs of this build are
+  # recorded as two.
   for seed in 1 2; do
     python3 perfbench/run.py --workload coral_certify --seed "$seed" --seconds 1 --trace 0 \
       > "$DIFFD/run_$seed.txt"
     "$BDIFF" append coral_certify "$seed" 1 0 "$DIFFD/run_$seed.txt" \
-      --history "$HIST" --label "$LABEL"
+      --history "$HIST" --label "$LABEL-run$seed"
   done
   # Two real one-second runs: coded verdicts must appear. Exit 1 is
-  # allowed here, since such short runs are noisy; exit 2 (no pair, bad
-  # input) is not.
+  # allowed here, since single short runs are noisy; exit 2 (no pair,
+  # bad input) is not.
   STATUS=0
   "$BDIFF" compare --history "$HIST" > "$DIFFD/diff.txt" || STATUS=$?
   cat "$DIFFD/diff.txt"

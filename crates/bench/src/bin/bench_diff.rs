@@ -13,12 +13,13 @@
 //! history file (default `results/bench_history.jsonl`). It refuses a
 //! result with `"correct":false`.
 //!
-//! `compare` judges, per workload, the latest two untraced records
-//! against the end-to-end bounds in `./BENCHMARK.json`, one coded line
-//! per metric (`REGRESSION` / `IMPROVEMENT` / `NEUTRAL`, plus
-//! `ADDED`/`REMOVED`), or `INCOMPARABLE` when the two hosts differ.
-//! Exit status: 0 clean, 1 when any metric regressed, 2 on usage,
-//! unreadable input, or a history with no pair to compare.
+//! `compare` judges, per workload, the latest two builds (labels) by
+//! the medians of their untraced records against the end-to-end bounds
+//! in `./BENCHMARK.json`, one coded line per metric (`REGRESSION` /
+//! `IMPROVEMENT` / `NEUTRAL`, plus `ADDED`/`REMOVED`), or
+//! `INCOMPARABLE` when the records come from more than one host. Exit
+//! status: 0 clean, 1 when any metric regressed, 2 on usage, unreadable
+//! input, or a history with no two builds to compare.
 
 use d2net_bench::diff::{
     append_history, bounds_from_benchmark, compare, read_history, render_record, result_line, Host,
@@ -106,13 +107,13 @@ fn main() {
                 .unwrap_or_else(|e| usage(&format!("{}: {e}", history.display())));
             let report = compare(&records, &bounds);
             print!("{}", report.render());
-            if report.paired() == 0 {
+            if report.paired == 0 {
                 usage(&format!(
-                    "{} holds no workload with two untraced records",
+                    "{} holds no workload with two builds to compare",
                     history.display()
                 ));
             }
-            if report.regressions() > 0 {
+            if report.regressions > 0 {
                 std::process::exit(1);
             }
         }

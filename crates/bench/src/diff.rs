@@ -8,11 +8,12 @@
 //! workload, seed, seconds and trace flag, a label (CI uses the git
 //! revision), the host it ran on, and the result line verbatim.
 //!
-//! [`compare`] judges, per workload, the latest two untraced records:
-//! every end-to-end metric against the `bound` and `better` direction
-//! `BENCHMARK.json` gives it, plus the failed share of operations.
-//! Records from different hosts are `INCOMPARABLE`, never a regression;
-//! traced records are evidence only and never compared.
+//! [`compare`] judges, per workload, the latest two builds (labels) by
+//! the medians of their untraced records: every end-to-end metric
+//! against the `bound` and `better` direction `BENCHMARK.json` gives it,
+//! plus the failed share of operations. A build with one record is that
+//! record. Records from different hosts are `INCOMPARABLE`, never a
+//! regression; traced records are evidence only and never compared.
 
 use d2net_core::compare::Json;
 use d2net_core::report::JsonWriter;
@@ -117,15 +118,6 @@ impl PerfResult {
             .iter()
             .find(|(n, _)| n == name)
             .map(|&(_, v)| v)
-    }
-
-    /// Failed operations over attempted ones (0 when none were).
-    pub fn failed_share(&self) -> f64 {
-        if self.attempted == 0 {
-            0.0
-        } else {
-            self.failed as f64 / self.attempted as f64
-        }
     }
 }
 
@@ -291,37 +283,17 @@ pub fn bounds_from_benchmark(text: &str) -> Result<Vec<Bound>, String> {
         .collect()
 }
 
-/// One judged quantity of one workload.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Verdict {
-    /// The metric name, or `failed_share`.
-    pub metric: String,
-    /// `"REGRESSION"`, `"IMPROVEMENT"`, `"NEUTRAL"`, `"ADDED"` or
-    /// `"REMOVED"`.
-    pub verdict: &'static str,
-    /// The values behind the verdict, as printed.
-    pub detail: String,
-}
-
-/// What happened to one workload's history.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WorkloadDiff {
-    /// The latest two untraced records, judged.
-    Compared {
-        prev: Stamp,
-        latest: Stamp,
-        verdicts: Vec<Verdict>,
-    },
-    /// The latest two untraced records come from different hosts.
-    Incomparable { prev: Stamp, latest: Stamp },
-    /// Fewer than two untraced records.
-    Unpaired { workload: String, untraced: usize },
-}
-
-/// Every workload's diff, in order of first appearance in the history.
-#[derive(Debug, Clone, PartialEq)]
+/// The gate's output: one coded line per judged metric and per
+/// workload it could not judge, and the verdict counts.
+#[derive(Debug, Default)]
 pub struct DiffReport {
-    pub workloads: Vec<WorkloadDiff>,
+    pub lines: Vec<String>,
+    /// Workloads with two builds, comparable or not.
+    pub paired: usize,
+    pub incomparable: usize,
+    pub regressions: usize,
+    pub improvements: usize,
+    pub neutral: usize,
 }
 
 /// Relative change from `prev` to `latest`, signed so that a positive
@@ -351,11 +323,52 @@ fn classify(worse_by: f64, bound: f64) -> &'static str {
     }
 }
 
-fn judge(prev: &PerfResult, latest: &PerfResult, bounds: &[Bound]) -> Vec<Verdict> {
-    let mut out: Vec<Verdict> = bounds
+/// The median of `name` over the records that report it.
+fn median(records: &[&Record], name: &str) -> Option<f64> {
+    let mut v: Vec<f64> = records
         .iter()
-        .filter_map(|b| {
-            let (verdict, detail) = match (prev.metric(&b.name), latest.metric(&b.name)) {
+        .filter_map(|r| r.result.metric(name))
+        .collect();
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    match n {
+        0 => None,
+        _ if n % 2 == 1 => Some(v[n / 2]),
+        _ => Some((v[n / 2 - 1] + v[n / 2]) / 2.0),
+    }
+}
+
+/// Failed operations over attempted ones, pooled over `records`.
+fn failed_share(records: &[&Record]) -> f64 {
+    let failed: u64 = records.iter().map(|r| r.result.failed).sum();
+    let attempted: u64 = records.iter().map(|r| r.result.attempted).sum();
+    if attempted == 0 {
+        0.0
+    } else {
+        failed as f64 / attempted as f64
+    }
+}
+
+impl DiffReport {
+    fn verdict(&mut self, workload: &str, metric: &str, verdict: &'static str, detail: String) {
+        match verdict {
+            "REGRESSION" => self.regressions += 1,
+            "IMPROVEMENT" => self.improvements += 1,
+            "NEUTRAL" => self.neutral += 1,
+            _ => {}
+        }
+        self.lines.push(format!(
+            "benchdiff: {verdict} workload={workload} metric={metric} {detail}"
+        ));
+    }
+
+    /// Judges one workload's two builds: each bounded metric's median
+    /// (`REGRESSION` / `IMPROVEMENT` / `NEUTRAL`, or `ADDED`/`REMOVED`
+    /// when one build lacks it), then the pooled failed share, where any
+    /// rise is a regression.
+    fn judge(&mut self, workload: &str, prev: &[&Record], latest: &[&Record], bounds: &[Bound]) {
+        for b in bounds {
+            let (verdict, detail) = match (median(prev, &b.name), median(latest, &b.name)) {
                 (Some(p), Some(l)) => {
                     let w = worsening(p, l, b.higher_is_better);
                     let detail = format!(
@@ -367,27 +380,31 @@ fn judge(prev: &PerfResult, latest: &PerfResult, bounds: &[Bound]) -> Vec<Verdic
                 }
                 (Some(p), None) => ("REMOVED", format!("prev={p}")),
                 (None, Some(l)) => ("ADDED", format!("latest={l}")),
-                (None, None) => return None,
+                (None, None) => continue,
             };
-            Some(Verdict {
-                metric: b.name.clone(),
-                verdict,
-                detail,
-            })
-        })
-        .collect();
-    // Any rise in the failed share is a regression.
-    let (p, l) = (prev.failed_share(), latest.failed_share());
-    out.push(Verdict {
-        metric: "failed_share".into(),
-        verdict: classify(l - p, 0.0),
-        detail: format!("prev={p} latest={l}"),
-    });
-    out
+            self.verdict(workload, &b.name, verdict, detail);
+        }
+        let (p, l) = (failed_share(prev), failed_share(latest));
+        let detail = format!("prev={p} latest={l}");
+        self.verdict(workload, "failed_share", classify(l - p, 0.0), detail);
+    }
+
+    /// The coded lines and a summary line.
+    pub fn render(&self) -> String {
+        let mut out: String = self.lines.iter().map(|l| format!("{l}\n")).collect();
+        out.push_str(&format!(
+            "benchdiff: {} workload(s) paired, {} incomparable: {} regression(s), \
+             {} improvement(s), {} neutral\n",
+            self.paired, self.incomparable, self.regressions, self.improvements, self.neutral,
+        ));
+        out
+    }
 }
 
-/// Compares, per workload, the latest two untraced records of
-/// `records` under `bounds`.
+/// Compares, per workload, the latest two builds of `records` under
+/// `bounds`. A build is every untraced record with one label, in order
+/// of the label's first appearance, judged by its medians; records of
+/// the two builds from more than one host are `INCOMPARABLE`.
 pub fn compare(records: &[Record], bounds: &[Bound]) -> DiffReport {
     let mut names: Vec<&str> = Vec::new();
     for r in records {
@@ -395,114 +412,49 @@ pub fn compare(records: &[Record], bounds: &[Bound]) -> DiffReport {
             names.push(&r.stamp.workload);
         }
     }
-    let workloads = names
-        .into_iter()
-        .map(|name| {
-            let untraced: Vec<&Record> = records
-                .iter()
-                .filter(|r| r.stamp.workload == name && !r.stamp.traced)
-                .collect();
-            match untraced[..] {
-                [.., prev, latest] if prev.stamp.host != latest.stamp.host => {
-                    WorkloadDiff::Incomparable {
-                        prev: prev.stamp.clone(),
-                        latest: latest.stamp.clone(),
-                    }
-                }
-                [.., prev, latest] => WorkloadDiff::Compared {
-                    prev: prev.stamp.clone(),
-                    latest: latest.stamp.clone(),
-                    verdicts: judge(&prev.result, &latest.result, bounds),
-                },
-                _ => WorkloadDiff::Unpaired {
-                    workload: name.to_string(),
-                    untraced: untraced.len(),
-                },
-            }
-        })
-        .collect();
-    DiffReport { workloads }
-}
-
-impl DiffReport {
-    fn count(&self, verdict: &str) -> usize {
-        self.workloads
+    let mut report = DiffReport::default();
+    for name in names {
+        let mut builds: Vec<Vec<&Record>> = Vec::new();
+        for r in records
             .iter()
-            .flat_map(|w| match w {
-                WorkloadDiff::Compared { verdicts, .. } => &verdicts[..],
-                _ => &[],
-            })
-            .filter(|v| v.verdict == verdict)
-            .count()
-    }
-
-    pub fn regressions(&self) -> usize {
-        self.count("REGRESSION")
-    }
-
-    /// Workloads that had a pair of untraced records, comparable or not.
-    pub fn paired(&self) -> usize {
-        self.workloads
-            .iter()
-            .filter(|w| !matches!(w, WorkloadDiff::Unpaired { .. }))
-            .count()
-    }
-
-    /// One coded line per judged quantity and per unjudged workload,
-    /// plus a summary line — the gate output.
-    pub fn render(&self) -> String {
-        let run = |s: &Stamp| format!("'{}' seed {}", s.label, s.seed);
-        let mut out = String::new();
-        let mut incomparable = 0;
-        for w in &self.workloads {
-            match w {
-                WorkloadDiff::Compared {
-                    prev,
-                    latest,
-                    verdicts,
-                } => {
-                    let name = &prev.workload;
-                    out.push_str(&format!(
-                        "benchdiff: workload={name} {} vs {}\n",
-                        run(prev),
-                        run(latest)
-                    ));
-                    for v in verdicts {
-                        out.push_str(&format!(
-                            "benchdiff: {} workload={name} metric={} {}\n",
-                            v.verdict, v.metric, v.detail
-                        ));
-                    }
-                }
-                WorkloadDiff::Incomparable { prev, latest } => {
-                    incomparable += 1;
-                    out.push_str(&format!(
-                        "benchdiff: INCOMPARABLE workload={} {} on {} vs {} on {}\n",
-                        prev.workload,
-                        run(prev),
-                        prev.host,
-                        run(latest),
-                        latest.host
-                    ));
-                }
-                WorkloadDiff::Unpaired { workload, untraced } => {
-                    out.push_str(&format!(
-                        "benchdiff: UNPAIRED workload={workload} untraced_records={untraced}\n"
-                    ));
-                }
+            .filter(|r| r.stamp.workload == name && !r.stamp.traced)
+        {
+            match builds
+                .iter_mut()
+                .find(|b| b[0].stamp.label == r.stamp.label)
+            {
+                Some(b) => b.push(r),
+                None => builds.push(vec![r]),
             }
         }
-        out.push_str(&format!(
-            "benchdiff: {} workload(s) paired, {} incomparable: {} regression(s), \
-             {} improvement(s), {} neutral\n",
-            self.paired(),
-            incomparable,
-            self.regressions(),
-            self.count("IMPROVEMENT"),
-            self.count("NEUTRAL"),
+        let [.., prev, latest] = &builds[..] else {
+            let n = builds.len();
+            report
+                .lines
+                .push(format!("benchdiff: UNPAIRED workload={name} builds={n}"));
+            continue;
+        };
+        report.paired += 1;
+        let build = |b: &[&Record]| format!("'{}' ({} runs)", b[0].stamp.label, b.len());
+        let host = &prev[0].stamp.host;
+        if let Some(other) = prev.iter().chain(latest).find(|r| &r.stamp.host != host) {
+            report.incomparable += 1;
+            report.lines.push(format!(
+                "benchdiff: INCOMPARABLE workload={name} {} vs {}: hosts {host} and {}",
+                build(prev),
+                build(latest),
+                other.stamp.host
+            ));
+            continue;
+        }
+        report.lines.push(format!(
+            "benchdiff: workload={name} {} vs {}, medians",
+            build(prev),
+            build(latest)
         ));
-        out
+        report.judge(name, prev, latest, bounds);
     }
+    report
 }
 
 #[cfg(test)]
@@ -528,10 +480,10 @@ mod tests {
         )
     }
 
-    fn stamp(workload: &str, traced: bool, host: Host) -> Stamp {
+    fn stamp(workload: &str, label: &str, traced: bool, host: Host) -> Stamp {
         Stamp {
             ts_ms: 1,
-            label: "abc1234".into(),
+            label: label.into(),
             workload: workload.into(),
             seed: 1,
             seconds: 30,
@@ -540,13 +492,13 @@ mod tests {
         }
     }
 
-    fn record(workload: &str, traced: bool, host: Host, result: &str) -> String {
-        render_record(&stamp(workload, traced, host), result).unwrap()
+    fn record(workload: &str, label: &str, traced: bool, host: Host, result: &str) -> String {
+        render_record(&stamp(workload, label, traced, host), result).unwrap()
     }
 
     /// An untraced record on the default host.
-    fn plain(workload: &str, result: &str) -> String {
-        record(workload, false, host("cpu"), result)
+    fn plain(workload: &str, label: &str, result: &str) -> String {
+        record(workload, label, false, host("cpu"), result)
     }
 
     fn diff(lines: &[String]) -> DiffReport {
@@ -554,40 +506,49 @@ mod tests {
         compare(&records, &bounds_from_benchmark(SPEC).unwrap())
     }
 
-    fn verdict_of(report: &DiffReport, workload: &str, metric: &str) -> &'static str {
-        report
-            .workloads
+    /// The verdicts on `workload`'s metrics, `(metric, verdict)`.
+    fn verdicts(report: &DiffReport, workload: &str) -> Vec<(String, String)> {
+        let tag = format!("workload={workload} metric=");
+        let v: Vec<_> = report
+            .lines
             .iter()
-            .find_map(|w| match w {
-                WorkloadDiff::Compared { prev, verdicts, .. } if prev.workload == workload => {
-                    verdicts.iter().find(|v| v.metric == metric)
-                }
-                _ => None,
+            .filter_map(|l| {
+                let (head, rest) = l.split_once(&tag)?;
+                let verdict = head.strip_prefix("benchdiff: ")?.trim();
+                Some((rest.split(' ').next()?.to_string(), verdict.to_string()))
             })
-            .unwrap()
-            .verdict
+            .collect();
+        assert!(!v.is_empty(), "{workload} was not compared: {report:?}");
+        v
+    }
+
+    fn verdict_of(report: &DiffReport, workload: &str, metric: &str) -> String {
+        let v = verdicts(report, workload)
+            .into_iter()
+            .find(|(m, _)| m == metric);
+        v.unwrap().1
     }
 
     #[test]
     fn records_round_trip_with_the_result_line_verbatim() {
         let res = line(2.5, 0.75, 0);
-        let rec = plain("coral_sweep", &res);
+        let rec = plain("coral_sweep", "a", &res);
         assert!(rec.ends_with(&format!("\"result\":{res}}}")));
         let back = read_history(&format!("{rec}\n{rec}\n")).unwrap();
         assert_eq!(back.len(), 2);
-        assert_eq!(back[0].stamp, stamp("coral_sweep", false, host("cpu")));
+        assert_eq!(back[0].stamp, stamp("coral_sweep", "a", false, host("cpu")));
         assert_eq!(back[0].result.metric("run_s"), Some(2.5));
         assert_eq!(back[0].result.attempted, 10);
     }
 
     #[test]
     fn append_refuses_incorrect_and_mislabelled_results() {
-        let untraced = stamp("coral_sweep", false, host("cpu"));
+        let untraced = stamp("coral_sweep", "a", false, host("cpu"));
         let wrong = line(1.0, 1.0, 0).replace("\"correct\": true", "\"correct\": false");
         assert!(render_record(&untraced, &wrong)
             .unwrap_err()
             .contains("correct"));
-        let traced = stamp("coral_sweep", true, host("cpu"));
+        let traced = stamp("coral_sweep", "a", true, host("cpu"));
         assert!(render_record(&traced, &line(1.0, 1.0, 0)).is_err());
         assert!(render_record(&untraced, "not json").is_err());
         assert_eq!(result_line("progress\n{\"a\":1}\n\n").unwrap(), "{\"a\":1}");
@@ -595,7 +556,7 @@ mod tests {
 
     #[test]
     fn each_metric_is_judged_in_its_own_direction() {
-        let base = plain("w", &line(2.0, 0.8, 0));
+        let base = plain("w", "a", &line(2.0, 0.8, 0));
         // run_s: lower is better, bound 25%; sat_throughput: higher is
         // better, bound 10%.
         for (run_s, sat, metric, verdict) in [
@@ -605,15 +566,16 @@ mod tests {
             (2.0, 0.71, "sat_throughput", "REGRESSION"), // −11%
             (2.0, 0.89, "sat_throughput", "IMPROVEMENT"), // +11%
         ] {
-            let r = diff(&[base.clone(), plain("w", &line(run_s, sat, 0))]);
+            let r = diff(&[base.clone(), plain("w", "b", &line(run_s, sat, 0))]);
             assert_eq!(
                 verdict_of(&r, "w", metric),
                 verdict,
                 "{metric}: {run_s} {sat}"
             );
-            assert_eq!(r.regressions(), usize::from(verdict == "REGRESSION"));
+            assert_eq!(r.regressions, usize::from(verdict == "REGRESSION"));
         }
-        let text = diff(&[base, plain("w", &line(2.0, 0.89, 0))]).render();
+        let text = diff(&[base, plain("w", "b", &line(2.0, 0.89, 0))]).render();
+        assert!(text.contains("benchdiff: workload=w 'a' (1 runs) vs 'b' (1 runs), medians"));
         assert!(text.contains(
             "benchdiff: IMPROVEMENT workload=w metric=sat_throughput \
              prev=0.8 latest=0.89 worse_by=-11.2% bound=10%"
@@ -621,43 +583,64 @@ mod tests {
     }
 
     #[test]
+    fn builds_are_judged_by_the_medians_of_their_records() {
+        // One slow seed in each build does not move the medians.
+        let r = diff(&[
+            plain("w", "a", &line(2.0, 0.8, 0)),
+            plain("w", "a", &line(2.1, 0.8, 0)),
+            plain("w", "a", &line(9.0, 0.8, 0)),
+            plain("w", "b", &line(2.05, 0.8, 0)),
+            plain("w", "b", &line(3.0, 0.8, 0)),
+            plain("w", "b", &line(2.0, 0.8, 0)),
+        ]);
+        assert_eq!(verdict_of(&r, "w", "run_s"), "NEUTRAL");
+        assert!(r.render().contains("prev=2.1 latest=2.05"));
+        // The latest build is compared with the one before it, even when
+        // an older label is re-run afterwards.
+        let r = diff(&[
+            plain("w", "a", &line(9.0, 0.8, 0)),
+            plain("w", "b", &line(2.0, 0.8, 0)),
+            plain("w", "c", &line(2.0, 0.8, 0)),
+            plain("w", "a", &line(9.0, 0.8, 0)),
+        ]);
+        assert_eq!(verdict_of(&r, "w", "run_s"), "NEUTRAL");
+    }
+
+    #[test]
     fn a_rise_in_the_failed_share_trips() {
         let r = diff(&[
-            plain("w", &line(2.0, 0.8, 0)),
-            plain("w", &line(2.0, 0.8, 1)),
+            plain("w", "a", &line(2.0, 0.8, 0)),
+            plain("w", "b", &line(2.0, 0.8, 1)),
         ]);
         assert_eq!(verdict_of(&r, "w", "failed_share"), "REGRESSION");
-        assert_eq!(r.regressions(), 1);
+        assert_eq!(r.regressions, 1);
     }
 
     #[test]
     fn a_host_mismatch_is_incomparable_never_a_regression() {
         let r = diff(&[
-            record("w", false, host("cpu a"), &line(2.0, 0.8, 0)),
-            record("w", false, host("cpu b"), &line(9.0, 0.1, 5)),
+            record("w", "a", false, host("cpu a"), &line(2.0, 0.8, 0)),
+            record("w", "b", false, host("cpu b"), &line(9.0, 0.1, 5)),
         ]);
-        assert!(matches!(r.workloads[0], WorkloadDiff::Incomparable { .. }));
-        assert_eq!(r.regressions(), 0);
-        assert_eq!(r.paired(), 1);
-        assert!(r.render().contains("benchdiff: INCOMPARABLE workload=w"));
+        assert_eq!((r.paired, r.incomparable, r.regressions), (1, 1, 0));
+        assert!(r.render().contains(
+            "benchdiff: INCOMPARABLE workload=w 'a' (1 runs) vs 'b' (1 runs): \
+             hosts '2 cpus, cpu a' and '2 cpus, cpu b'"
+        ));
     }
 
     #[test]
     fn workloads_never_cross_compare() {
         let r = diff(&[
-            plain("a", &line(1.0, 0.8, 0)),
-            plain("b", &line(9.0, 0.1, 0)),
-            plain("a", &line(1.1, 0.8, 0)),
+            plain("x", "a", &line(1.0, 0.8, 0)),
+            plain("y", "a", &line(9.0, 0.1, 0)),
+            plain("x", "b", &line(1.1, 0.8, 0)),
         ]);
-        assert_eq!(r.regressions(), 0);
-        assert!(matches!(&r.workloads[0], WorkloadDiff::Compared { .. }));
-        assert_eq!(
-            r.workloads[1],
-            WorkloadDiff::Unpaired {
-                workload: "b".into(),
-                untraced: 1
-            }
-        );
+        assert_eq!((r.paired, r.regressions), (1, 0));
+        assert_eq!(verdict_of(&r, "x", "run_s"), "NEUTRAL");
+        assert!(r
+            .lines
+            .contains(&"benchdiff: UNPAIRED workload=y builds=1".to_string()));
     }
 
     #[test]
@@ -665,20 +648,17 @@ mod tests {
         let traced = "{\"correct\": true, \"attempted\": 10, \"failed\": 9, \"metrics\": \
                       {\"run_s_traced\": {\"value\": 50.0, \"unit\": \"s\"}}}";
         let r = diff(&[
-            plain("w", &line(2.0, 0.8, 0)),
-            record("w", true, host("cpu"), traced),
-            plain("w", &line(2.1, 0.8, 0)),
-            record("w", true, host("other"), traced),
+            plain("w", "a", &line(2.0, 0.8, 0)),
+            record("w", "b", true, host("cpu"), traced),
+            plain("w", "b", &line(2.1, 0.8, 0)),
+            record("w", "c", true, host("other"), traced),
         ]);
-        let WorkloadDiff::Compared { verdicts, .. } = &r.workloads[0] else {
-            panic!("expected a compared pair: {r:?}");
-        };
-        assert!(verdicts.iter().all(|v| v.verdict == "NEUTRAL"));
+        assert!(verdicts(&r, "w").iter().all(|(_, v)| v == "NEUTRAL"));
     }
 
     #[test]
     fn a_torn_tail_is_tolerated_but_inner_corruption_errors() {
-        let a = plain("w", &line(2.0, 0.8, 0));
+        let a = plain("w", "a", &line(2.0, 0.8, 0));
         let torn = format!("{a}\n{a}\n{}", &a[..a.len() / 2]);
         assert_eq!(read_history(&torn).unwrap().len(), 2);
         let inner = format!("{}\n{a}\n", &a[..a.len() / 2]);
