@@ -21,6 +21,12 @@ use d2net_sim::LEDGER_TOP_N;
 
 // ----- minimal JSON reader ------------------------------------------
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so an unbounded `[[[…` document would
+/// overflow the stack — an abort no caller can catch. Every document the
+/// workspace writes nests fewer than ten levels.
+pub const MAX_JSON_DEPTH: usize = 128;
+
 /// A parsed JSON value. Objects preserve key order; numbers collapse to
 /// `f64` (every number a manifest emits is exactly representable).
 #[derive(Debug, Clone, PartialEq)]
@@ -35,11 +41,12 @@ pub enum Json {
 
 impl Json {
     /// Parses a complete JSON document (RFC 8259 grammar; rejects
-    /// trailing bytes).
+    /// trailing bytes and nesting deeper than [`MAX_JSON_DEPTH`]).
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             s: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let v = p.value()?;
         p.skip_ws();
@@ -85,6 +92,8 @@ impl Json {
 struct Parser<'a> {
     s: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -112,8 +121,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            c @ (b'{' | b'[') => {
+                if self.depth == MAX_JSON_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_JSON_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if c == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             b'"' => Ok(Json::String(self.string()?)),
             b't' => self.literal("true", Json::Bool(true)),
             b'f' => self.literal("false", Json::Bool(false)),
@@ -775,6 +798,23 @@ mod tests {
         assert_eq!(doc.get("e").unwrap().as_str(), Some("x\nA"));
         assert!(Json::parse("{\"a\":1} trailing").is_err());
         assert!(Json::parse("{\"a\":}").is_err());
+    }
+
+    /// A 100,000-byte `[[[…` document would overflow an unbounded
+    /// recursive parser's stack and abort the process; past the depth
+    /// limit it is an `Err`.
+    #[test]
+    fn parser_rejects_unbounded_nesting_without_overflowing() {
+        let deep = "[".repeat(100_000);
+        let err = Json::parse(&deep).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let deep_objects = "{\"a\":".repeat(50_000);
+        assert!(Json::parse(&deep_objects).is_err());
+        // The limit itself still parses; one level more does not.
+        let at_limit = format!("{}{}", "[".repeat(MAX_JSON_DEPTH), "]".repeat(MAX_JSON_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok());
+        let over = format!("[{at_limit}]");
+        assert!(Json::parse(&over).is_err());
     }
 
     #[test]

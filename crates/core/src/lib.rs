@@ -104,15 +104,15 @@ pub mod prelude {
         plan_shards, point_seed, preflight, resolve_threads, run, run_exchange,
         run_exchange_traced, run_synthetic, run_synthetic_sharded, run_synthetic_sharded_traced,
         supervised_sweep, sweep, sweep_metrics, sweep_with_order, CalendarStats, ChaosConfig,
-        ChaosKind, DeadlockReport, DecisionLedger, DecisionSample, EngineChaos, EngineFault,
-        EngineLedger, EngineTrace, EventQueueKind, ExchangeRun, ExchangeStats, FaultEvent,
-        FaultSchedule, FlightEvent, FlightEventKind, HarnessSpan, HotCounters, LedgerConfig,
-        Metric, MetricValue, MetricsRegistry, Observers, PacketFlight, PhaseSpan, PointLedger,
-        PointTrace, PortHeat, Preflight, ProbeConfig, RingEvent, RingEventKind,
-        RouterDecisionStats, Run, RunBudget, SimConfig, SimPhase, SpanProfiler, SuperviseConfig,
-        SuperviseHooks, SupervisedSweep, SupervisionSummary, SweepNotice, SweepOutcome, SweepPoint,
-        Synthetic, SyntheticStats, TelemetryReport, TelemetrySummary, TraceConfig, WaitPoint,
-        WaitSide, LEDGER_TOP_N, MARGIN_BOUNDS_BYTES,
+        ChaosKind, DeadlockReport, DecisionLedger, DecisionSample, EngineChaos, EngineLedger,
+        EngineTrace, EventQueueKind, ExchangeRun, ExchangeStats, FaultEvent, FaultSchedule,
+        FlightEvent, FlightEventKind, HarnessSpan, HotCounters, LedgerConfig, Metric, MetricValue,
+        MetricsRegistry, Observers, PacketFlight, PhaseSpan, PointLedger, PointTrace, PortHeat,
+        Preflight, ProbeConfig, RingEvent, RingEventKind, RouterDecisionStats, Run, RunBudget,
+        SimConfig, SimPhase, SpanProfiler, SuperviseConfig, SuperviseHooks, SupervisedSweep,
+        SupervisionSummary, SweepNotice, SweepOutcome, SweepPoint, Synthetic, SyntheticStats,
+        TelemetryReport, TelemetrySummary, TraceConfig, WaitPoint, WaitSide, LEDGER_TOP_N,
+        MARGIN_BOUNDS_BYTES,
     };
     pub use d2net_topo::{
         fat_tree2, hyperx2, hyperx2_balanced, mlfm, mlfm_general, oft, oft_general, slim_fly,

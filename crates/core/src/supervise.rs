@@ -19,7 +19,7 @@ use d2net_sim::{
     load_grid, supervised_sweep, Observers, SimConfig, SuperviseConfig, SuperviseHooks,
     SupervisionSummary,
 };
-use d2net_topo::{mlfm, oft, slim_fly, Network, SlimFlyP};
+use d2net_topo::{try_mlfm, try_oft, try_slim_fly, Network, SlimFlyP};
 use d2net_traffic::{worst_case, SyntheticPattern};
 use std::path::Path;
 
@@ -41,8 +41,15 @@ pub struct SupervisedRequest {
     pub sup: SuperviseConfig,
 }
 
+/// Largest network, in end-nodes, a request may name: about ten times
+/// the paper's CORAL-scale configurations (3,042–3,600 nodes). A size
+/// past it is rejected before anything is built, so a request cannot
+/// ask the service for more memory than a sweep point can use.
+pub const MAX_REQUEST_NODES: u64 = 40_000;
+
 /// Builds a [`Network`] from the request grammar `name:size`
-/// (`slim_fly:5`, `mlfm:4`, `oft:4`).
+/// (`slim_fly:5`, `mlfm:4`, `oft:4`). An invalid size (no construction
+/// exists) or one past [`MAX_REQUEST_NODES`] is an `Err`, never a panic.
 pub fn parse_topology(spec: &str) -> Result<Network, String> {
     let (name, size) = spec
         .split_once(':')
@@ -50,14 +57,47 @@ pub fn parse_topology(spec: &str) -> Result<Network, String> {
     let size: u64 = size
         .parse()
         .map_err(|_| format!("topology size '{size}' is not an integer"))?;
-    match name {
-        "slim_fly" => Ok(slim_fly(size, SlimFlyP::Floor)),
-        "mlfm" => Ok(mlfm(size)),
-        "oft" => Ok(oft(size)),
-        other => Err(format!(
-            "unknown topology '{other}' (want slim_fly|mlfm|oft)"
-        )),
+    let nodes = request_nodes(name, size)?;
+    if nodes > MAX_REQUEST_NODES {
+        return Err(format!(
+            "topology '{spec}' has {nodes} nodes, over the {MAX_REQUEST_NODES}-node request limit"
+        ));
     }
+    match name {
+        "slim_fly" => try_slim_fly(size, SlimFlyP::Floor),
+        "mlfm" => try_mlfm(size),
+        _ => try_oft(size),
+    }
+}
+
+/// End-node count of the request topology `name:s`, in closed form: in
+/// constant time, saturating, and without building anything. SF(q) has
+/// 2q² routers with p = ⌊(3q − δ)/4⌋ nodes each (q = 4w + δ), MLFM(h)
+/// h(h + 1) local routers with h nodes each, and OFT(k) two outer levels
+/// of k(k − 1) + 1 routers with k nodes each.
+fn request_nodes(name: &str, s: u64) -> Result<u64, String> {
+    Ok(match name {
+        "slim_fly" => {
+            let radix = match s % 4 {
+                1 => s.saturating_mul(3).saturating_sub(1) / 2,
+                3 => s.saturating_mul(3).saturating_add(1) / 2,
+                _ => s.saturating_mul(3) / 2,
+            };
+            s.saturating_mul(s)
+                .saturating_mul(2)
+                .saturating_mul(radix / 2)
+        }
+        "mlfm" => s.saturating_mul(s).saturating_mul(s.saturating_add(1)),
+        "oft" => {
+            let per_level = s.saturating_mul(s.saturating_sub(1)).saturating_add(1);
+            per_level.saturating_mul(2).saturating_mul(s)
+        }
+        other => {
+            return Err(format!(
+                "unknown topology '{other}' (want slim_fly|mlfm|oft)"
+            ))
+        }
+    })
 }
 
 /// Parses the request's algorithm name (`minimal`, `valiant`, `ugal`).
@@ -348,6 +388,50 @@ mod tests {
         assert!(SupervisedRequest::from_json(&bad_id).is_err());
         let bad_topo = request_json("ok", 4).replace("slim_fly:5", "frob:9");
         assert!(SupervisedRequest::from_json(&bad_topo).is_err());
+    }
+
+    /// Sizes with no construction, and sizes past the node limit, are
+    /// request errors (which move a spooled file to `.rejected.json`)
+    /// rather than panics that wedge the spool.
+    #[test]
+    fn invalid_and_oversized_topologies_are_request_errors() {
+        for spec in [
+            "oft:0",
+            "oft:1",
+            "oft:2",
+            "mlfm:0",
+            "slim_fly:2",
+            "slim_fly:6",
+            "mlfm:100000",
+            "slim_fly:18446744073709551615",
+        ] {
+            let req = request_json("ok", 4).replace("slim_fly:5", spec);
+            assert!(
+                SupervisedRequest::from_json(&req).is_err(),
+                "{spec} was accepted"
+            );
+        }
+        // The closed-form count the limit is checked against is exact,
+        // including the paper's CORAL-scale configurations.
+        for (name, size) in [
+            ("slim_fly", 5),
+            ("slim_fly", 8),
+            ("slim_fly", 11),
+            ("slim_fly", 13),
+            ("mlfm", 1),
+            ("mlfm", 15),
+            ("oft", 4),
+            ("oft", 12),
+        ] {
+            let net = parse_topology(&format!("{name}:{size}")).unwrap();
+            assert_eq!(
+                request_nodes(name, size),
+                Ok(net.num_nodes() as u64),
+                "{name}:{size}"
+            );
+        }
+        let err = parse_topology("mlfm:40").map(|_| ()).unwrap_err();
+        assert!(err.contains("65600 nodes, over the 40000-node"), "{err}");
     }
 
     #[test]

@@ -144,9 +144,9 @@ pub struct SimConfig {
     /// Event-queue structure for the engine's hot loop (default
     /// [`EventQueueKind::Calendar`]; results are identical either way).
     pub event_queue: EventQueueKind,
-    /// Intra-run shard count for [`crate::run_synthetic_sharded`] and the
-    /// sharded sweeps: routers are partitioned into this many per-thread
-    /// engine shards running in conservative time windows. `0` (the
+    /// Intra-run shard count for every [`crate::run`] and sweep point:
+    /// routers are partitioned into this many per-thread engine shards
+    /// running in conservative time windows. `0` (the
     /// default) means auto — the `D2NET_SHARDS` environment variable if
     /// set, otherwise a size-based heuristic; `1` forces serial. Results
     /// are byte-identical for every value (see `sim::shard`).

@@ -22,17 +22,19 @@
 //! [`crate::equeue`]). Per-queue state (input/output FIFOs, blocked
 //! lists) is held in intrusive linked lists over flat arrays so an
 //! [`Engine::reset`] between sweep points reuses every allocation.
+//!
+//! Observers live in one slot, [`Engine::attach`]'s
+//! `Option<Box<Attached>>` (see [`crate::observer`]): each event point
+//! makes one call into it, and an empty slot costs one branch.
 
 use crate::config::{ChaosKind, EngineChaos, EventQueueKind, Preflight, SimConfig};
 use crate::equeue::{CalendarQueue, CalendarStats, EventQ};
 use crate::fault::FaultSchedule;
 use crate::injector::{NextPacket, NodeSource, PacketSpec};
-use crate::ledger::{DecisionLedger, EngineLedger, LedgerConfig};
+use crate::observer::{Attached, Flight, Observers};
+use crate::shard::Run;
 use crate::stats::{Accumulator, ExchangeStats, SyntheticStats};
-use crate::telemetry::{
-    DeadlockReport, ProbeConfig, Telemetry, TelemetryReport, WaitPoint, WaitSide,
-};
-use crate::trace::{EngineTrace, PacketFlight, TraceConfig, TraceRecorder};
+use crate::telemetry::{DeadlockReport, Telemetry, WaitPoint, WaitSide};
 use d2net_routing::{vc_for_hop, OccupancyView, RouteChoice, RoutePath, RoutePolicy, VcScheme};
 use d2net_topo::{FaultSet, Network, NodeId, RouterId};
 use d2net_verify::{debug_invariant, invariant, Verdict};
@@ -173,7 +175,7 @@ pub(crate) enum OutEv {
     /// A packet finishing its link traversal into a router owned by
     /// another shard, together with its in-progress flight record when
     /// the sending shard's trace recorder was tracking it.
-    Arrive(Packet, Option<((u64, u64), PacketFlight)>),
+    Arrive(Packet, Option<Flight>),
     /// A credit returning to an output `(port, VC)` owned by another
     /// shard.
     Credit { pv: u32, bytes: u32 },
@@ -269,19 +271,21 @@ impl OccupancyView for OccView<'_> {
 /// consumes it: the caller ([`crate::run`]) has already
 /// built the cumulatively degraded network and a policy repaired around
 /// it for each event.
-pub struct EngineFault<'a> {
+pub(crate) struct EngineFault<'a> {
     /// Simulated time the failures occur, in ps.
-    pub t_ps: u64,
+    pub(crate) t_ps: u64,
     /// The links/routers newly failing at this instant (already filtered
     /// against the pristine network's ids).
-    pub faults: FaultSet,
+    pub(crate) faults: FaultSet,
     /// Policy repaired around every failure up to and including this
     /// event; injections from `t_ps` on route with it.
-    pub policy: &'a RoutePolicy,
+    pub(crate) policy: &'a RoutePolicy,
 }
 
-/// The simulator engine for one run. Construct via [`crate::run_synthetic`]
-/// or [`crate::run_exchange`].
+/// The simulator engine for one run, or for one shard of a sharded run.
+/// Crate-private (its module is private and every method `pub(crate)`):
+/// callers go through [`crate::run`] and the sweeps. The type itself is
+/// `pub` only because the sealed [`crate::Workload`] trait names it.
 pub struct Engine<'a> {
     net: &'a Network,
     policy: &'a RoutePolicy,
@@ -376,24 +380,10 @@ pub struct Engine<'a> {
     /// Calendar statistics absorbed from sibling shards, merged into
     /// the finalized trace next to this engine's own queue stats.
     extra_calendar: Option<CalendarStats>,
-    /// Optional observability probe (see [`crate::telemetry`]). `None`
-    /// costs the event loop a single branch per event and leaves the
-    /// simulated schedule byte-identical to an unprobed run.
-    telemetry: Option<Telemetry>,
-    /// Optional structured trace recorder (see [`crate::trace`]); same
-    /// zero-overhead contract as the probe — one branch per hook site
-    /// when `None`, and recorded state never feeds the simulation.
-    trace: Option<TraceRecorder>,
-    /// Finalized trace of the last run, parked here by the run methods
-    /// (which only borrow the engine) for [`Engine::take_trace`].
-    finished_trace: Option<EngineTrace>,
-    /// Optional routing-decision ledger (see [`crate::ledger`]); same
-    /// zero-overhead contract as the probe and tracer — one branch at
-    /// the injection decision when `None`, recorded state never feeds
-    /// the simulation, and the recorded entry point is rng-neutral.
-    ledger: Option<DecisionLedger>,
-    /// Finalized ledger of the last run, for [`Engine::take_ledger`].
-    finished_ledger: Option<EngineLedger>,
+    /// The attached observers (probe, trace, ledger), if any — one
+    /// branch per event point when empty, and nothing recorded ever
+    /// feeds the simulation.
+    obs: Option<Box<Attached>>,
 
     // ----- fault machinery (all inert when `fault_events` is empty) --
     /// Mid-run fault schedule, sorted by time; re-armed by `reset`.
@@ -432,55 +422,23 @@ pub struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    /// Builds an engine; `sources` must hold one [`NodeSource`] per node.
-    /// Panics where [`Engine::try_new`] returns an error — kept for the
-    /// single-run entry points whose configs are caller-validated.
-    pub fn new(
-        net: &'a Network,
-        policy: &'a RoutePolicy,
-        cfg: SimConfig,
-        sources: Vec<NodeSource>,
-        warmup_ps: u64,
-        rng: SmallRng,
-    ) -> Self {
-        Self::try_new(net, policy, cfg, sources, warmup_ps, rng).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible construction: a config the preflight verifier rejects
-    /// (under [`Preflight::Enforce`]) or a buffer too small to partition
-    /// across the policy's VCs comes back as a coded `Err` instead of
-    /// aborting the process, so sweep harnesses can surface it as a
-    /// [`crate::SweepNotice`].
-    pub fn try_new(
-        net: &'a Network,
-        policy: &'a RoutePolicy,
-        cfg: SimConfig,
-        sources: Vec<NodeSource>,
-        warmup_ps: u64,
-        rng: SmallRng,
-    ) -> Result<Self, String> {
-        Self::build(net, policy, cfg, sources, warmup_ps, rng, Vec::new())
-    }
-
-    /// [`Engine::try_new`] plus a mid-run fault schedule, pre-resolved by
-    /// [`crate::run`] for a faulted [`crate::Synthetic`]: each
-    /// [`EngineFault`] fires as an ordinary event at its time. VC buffers are provisioned for the
-    /// maximum VC count across the initial policy and every repaired
-    /// policy, so packets routed before and after a failure coexist.
-    pub fn try_new_faulted(
-        net: &'a Network,
-        policy: &'a RoutePolicy,
-        cfg: SimConfig,
-        sources: Vec<NodeSource>,
-        warmup_ps: u64,
-        rng: SmallRng,
-        faults: Vec<EngineFault<'a>>,
-    ) -> Result<Self, String> {
-        Self::build(net, policy, cfg, sources, warmup_ps, rng, faults)
-    }
-
+    /// Builds the engine owning routers `[own_lo, own_hi)` — the whole
+    /// network for a serial run, one shard's range otherwise. `sources`
+    /// must hold one [`NodeSource`] per node, and `cfg` must have
+    /// preflight resolved (see [`try_preflight_once`]).
+    ///
+    /// Each [`EngineFault`] of the pre-resolved mid-run schedule fires as
+    /// an ordinary event at its time on a full-range engine; a shard's
+    /// coordinator applies them at window barriers instead, and the shard
+    /// owning router 0 carries their schedule/pop accounting so summed
+    /// counters match serial. VC buffers are provisioned for the maximum
+    /// VC count across the initial policy and every repaired policy, so
+    /// packets routed before and after a failure coexist.
+    ///
+    /// An unsorted schedule or a buffer too small to partition across the
+    /// VCs comes back as a coded `Err`.
     #[allow(clippy::too_many_arguments)]
-    fn build(
+    pub(crate) fn build(
         net: &'a Network,
         policy: &'a RoutePolicy,
         cfg: SimConfig,
@@ -488,41 +446,8 @@ impl<'a> Engine<'a> {
         warmup_ps: u64,
         rng: SmallRng,
         fault_events: Vec<EngineFault<'a>>,
+        (own_lo, own_hi): (u32, u32),
     ) -> Result<Self, String> {
-        Self::build_shard(
-            net,
-            policy,
-            cfg,
-            sources,
-            warmup_ps,
-            rng,
-            fault_events,
-            0,
-            net.num_routers(),
-            true,
-        )
-    }
-
-    /// [`Engine::build`] restricted to the router range `[own_lo,
-    /// own_hi)`: only owned nodes' wake events are armed, and fault
-    /// events are not enqueued (the shard coordinator applies them at
-    /// window barriers). `count_fault_events` marks the one shard that
-    /// carries the fault events' schedule/pop accounting so summed
-    /// counters match serial.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn build_shard(
-        net: &'a Network,
-        policy: &'a RoutePolicy,
-        cfg: SimConfig,
-        sources: Vec<NodeSource>,
-        warmup_ps: u64,
-        rng: SmallRng,
-        fault_events: Vec<EngineFault<'a>>,
-        own_lo: u32,
-        own_hi: u32,
-        count_fault_events: bool,
-    ) -> Result<Self, String> {
-        preflight_gate(net, policy, &cfg)?;
         invariant!(
             sources.len() == net.num_nodes() as usize,
             "one traffic source per node required ({} sources, {} nodes)",
@@ -605,15 +530,11 @@ impl<'a> Engine<'a> {
             cur_lane: 0,
             cur_key: 0,
             events_scheduled: 0,
-            count_fault_events,
+            count_fault_events: own_lo == 0,
             node_rngs,
             node_seq: vec![0; n],
             extra_calendar: None,
-            telemetry: None,
-            trace: None,
-            finished_trace: None,
-            ledger: None,
-            finished_ledger: None,
+            obs: None,
             fault_events,
             cur_policy: policy,
             dead: vec![false; total],
@@ -664,7 +585,7 @@ impl<'a> Engine<'a> {
     /// allocation — sweep points stop paying construction cost. The
     /// result of a run after `reset` is byte-identical to a run on a
     /// freshly built engine handed the same `sources` and `rng`.
-    pub fn reset(&mut self, sources: Vec<NodeSource>, warmup_ps: u64, rng: SmallRng) {
+    pub(crate) fn reset(&mut self, sources: Vec<NodeSource>, warmup_ps: u64, rng: SmallRng) {
         invariant!(
             sources.len() == self.net.num_nodes() as usize,
             "one traffic source per node required ({} sources, {} nodes)",
@@ -706,11 +627,7 @@ impl<'a> Engine<'a> {
         self.extra_calendar = None;
         self.acc = Accumulator::default();
         self.warmup_ps = warmup_ps;
-        self.telemetry = None;
-        self.trace = None;
-        self.finished_trace = None;
-        self.ledger = None;
-        self.finished_ledger = None;
+        self.obs = None;
         self.cur_policy = self.policy;
         self.dead.fill(false);
         self.retry.fill(None);
@@ -724,87 +641,90 @@ impl<'a> Engine<'a> {
         self.arm_initial_events();
     }
 
-    /// Runs the static preflight verifier on exactly the (network,
-    /// policy, config) triple this engine would simulate, regardless of
-    /// the config's [`Preflight`] mode. The verdict mirrors what
-    /// simulation would discover the hard way: a rejected config carries
-    /// a concrete CDG cycle counterexample.
-    pub fn preflight(&self) -> d2net_verify::Report {
-        preflight(self.net, self.policy, &self.cfg)
+    /// Fills the observer slot for the next run (empties it when `obs`
+    /// asks for nothing); call before the run starts.
+    pub(crate) fn attach(&mut self, obs: Observers) {
+        if obs == Observers::default() {
+            self.obs = None;
+            return;
+        }
+        let probe = obs.probe.map(|probe| {
+            let total = *self.ports.base.last().unwrap();
+            let port_is_node = (0..total)
+                .map(|p| self.ports.is_node_port(self.net, p))
+                .collect();
+            Telemetry::new(
+                probe,
+                self.net.num_routers(),
+                self.net.num_nodes(),
+                self.num_vcs,
+                self.ports.owner.clone(),
+                port_is_node,
+                self.vc_cap,
+                self.cfg.ps_per_byte(),
+            )
+        });
+        self.obs = Some(Box::new(Attached::new(obs, probe)));
     }
 
-    /// Attaches an observability probe; must be called before the run
-    /// starts. See [`crate::telemetry`] for what gets recorded.
-    pub fn attach_probe(&mut self, probe: ProbeConfig) {
-        let total = *self.ports.base.last().unwrap();
-        let port_is_node = (0..total)
-            .map(|p| self.ports.is_node_port(self.net, p))
-            .collect();
-        self.telemetry = Some(Telemetry::new(
-            probe,
-            self.net.num_routers(),
-            self.net.num_nodes(),
-            self.num_vcs,
-            self.ports.owner.clone(),
-            port_is_node,
-            self.vc_cap,
-            self.cfg.ps_per_byte(),
-        ));
-    }
-
-    /// Flushes probe sample windows up to simulated time `t`.
-    fn flush_probe(&mut self, t: u64) {
-        if let Some(tel) = self.telemetry.as_mut() {
-            tel.sample_to(t, &self.in_occ, &self.out_occ);
+    /// Flushes probe sample windows up to simulated time `t` at the end
+    /// of a run.
+    pub(crate) fn flush_probe(&mut self, t: u64) {
+        if let Some(o) = self.obs.as_deref_mut() {
+            o.on_clock(t, &self.in_occ, &self.out_occ, false);
         }
     }
 
-    /// Attaches a structured trace recorder; must be called before the
-    /// run starts. See [`crate::trace`] for what gets recorded.
-    pub fn attach_trace(&mut self, cfg: TraceConfig) {
-        self.trace = Some(TraceRecorder::new(cfg));
-    }
-
-    /// The finalized trace of the last run, when one was attached. The
-    /// run methods finalize it; calling this again returns `None`.
-    pub fn take_trace(&mut self) -> Option<EngineTrace> {
-        self.finished_trace.take()
-    }
-
-    /// Detaches the recorder into [`Engine::take_trace`]'s slot, closing
-    /// the phase spans with the run's statistics horizon.
-    fn finalize_trace(&mut self, measure_end_ps: u64) {
-        if let Some(tr) = self.trace.take() {
-            let cal = match (self.queue.calendar_stats(), self.extra_calendar.take()) {
+    /// Empties the observer slot into `stats`' [`Run`]: the probe's
+    /// report carries `forensics` and the engine's drop/retry counts, the
+    /// trace its counters and phase spans. The measure phase ends at the
+    /// `horizon`, or — for a drained exchange — at the last injection
+    /// (at most the last delivery); the drain phase covers what settles
+    /// afterwards.
+    pub(crate) fn detach<S>(
+        &mut self,
+        stats: S,
+        horizon: Option<u64>,
+        forensics: Option<DeadlockReport>,
+    ) -> Run<S> {
+        let Some(obs) = self.obs.take() else {
+            return Run {
+                stats,
+                telemetry: None,
+                trace: None,
+                ledger: None,
+            };
+        };
+        let Attached {
+            probe,
+            trace,
+            ledger,
+            mut counters,
+        } = *obs;
+        let telemetry = probe.map(|tel| {
+            let mut report = tel.into_report(forensics);
+            // The probe never sees drops or retries directly (they have
+            // no hook of their own); fold the engine counters in so the
+            // summary and manifest surface them.
+            report.total_dropped_packets = self.dropped_flight + self.dropped_injection;
+            report.total_retried_packets = self.retried;
+            report
+        });
+        let trace = trace.map(|tr| {
+            counters.events_scheduled = self.events_scheduled;
+            counters.calendar = match (self.queue.calendar_stats(), self.extra_calendar.take()) {
                 (Some(own), Some(extra)) => Some(own.merged(&extra)),
                 (own, extra) => own.or(extra),
             };
-            self.finished_trace = Some(tr.finish(
-                self.warmup_ps,
-                measure_end_ps,
-                self.now,
-                self.events_scheduled,
-                cal,
-            ));
-        }
-    }
-
-    /// Attaches a routing-decision ledger; must be called before the run
-    /// starts. See [`crate::ledger`] for what gets recorded.
-    pub fn attach_ledger(&mut self, cfg: LedgerConfig) {
-        self.ledger = Some(DecisionLedger::new(cfg));
-    }
-
-    /// The finalized ledger of the last run, when one was attached. The
-    /// run methods finalize it; calling this again returns `None`.
-    pub fn take_ledger(&mut self) -> Option<EngineLedger> {
-        self.finished_ledger.take()
-    }
-
-    /// Detaches the ledger into [`Engine::take_ledger`]'s slot.
-    fn finalize_ledger(&mut self) {
-        if let Some(led) = self.ledger.take() {
-            self.finished_ledger = Some(led.finish());
+            let last_delivery = self.acc.last_delivery_ps;
+            let measure_end = horizon.unwrap_or(tr.last_alloc_ps.min(last_delivery));
+            tr.finish(counters, self.warmup_ps, measure_end, self.now)
+        });
+        Run {
+            stats,
+            telemetry,
+            trace,
+            ledger: ledger.map(|l| l.finish()),
         }
     }
 
@@ -1005,12 +925,11 @@ impl<'a> Engine<'a> {
             flight_id,
             scheme: self.cur_policy.vc_scheme(),
         });
-        if let Some(tr) = self.trace.as_mut() {
-            tr.on_alloc(
+        if let Some(o) = self.obs.as_deref_mut() {
+            o.on_alloc(
                 pkt,
                 flight_id,
                 (self.now, self.cur_key),
-                self.now,
                 self.net.node_router(node),
                 node,
                 spec.dst,
@@ -1037,11 +956,11 @@ impl<'a> Engine<'a> {
             let src_r = self.net.node_router(src);
             let dst_r = self.net.node_router(dst);
             let choice = if src_r == dst_r {
-                RouteChoice {
+                Some(RouteChoice {
                     path: RoutePath::new(src_r),
                     phase_hops: 0,
                     indirect: false,
-                }
+                })
             } else {
                 let view = OccView {
                     net: self.net,
@@ -1056,54 +975,36 @@ impl<'a> Engine<'a> {
                 // Route sampling draws from the source node's stream —
                 // the node's injections route through a deterministic
                 // draw sequence regardless of global interleaving.
-                let decided = if self.ledger.is_some() {
-                    match self.cur_policy.try_choose_recorded(
-                        src_r,
-                        dst_r,
-                        &view,
-                        &mut self.node_rngs[src as usize],
-                    ) {
-                        Some((c, rec)) => {
+                let rng = &mut self.node_rngs[src as usize];
+                match self.obs.as_deref_mut().and_then(|o| o.ledger.as_mut()) {
+                    Some(led) => self
+                        .cur_policy
+                        .try_choose_recorded(src_r, dst_r, &view, rng)
+                        .map(|(c, rec)| {
                             let fid = self.packets[pkt as usize].flight_id;
-                            if let Some(led) = self.ledger.as_mut() {
-                                led.on_decision(self.now, self.cur_key, fid, &rec);
-                            }
-                            Some(c)
-                        }
-                        None => None,
-                    }
-                } else {
-                    self.cur_policy.try_choose(
-                        src_r,
-                        dst_r,
-                        &view,
-                        &mut self.node_rngs[src as usize],
-                    )
-                };
-                match decided {
-                    Some(c) => c,
-                    None => {
-                        // A failure fired while the packet serialized and
-                        // took its last route away: it vanishes at the
-                        // router's door, returning the node-buffer space
-                        // it held like an ordinary ejection credit.
-                        self.dropped_flight += 1;
-                        if let Some(tr) = self.trace.as_mut() {
-                            tr.on_drop(pkt, self.now, src_r);
-                        }
-                        self.schedule(self.now, Ev::NodeCredit { node: src, bytes });
-                        self.free.push(pkt);
-                        return;
-                    }
+                            led.on_decision(self.now, self.cur_key, fid, &rec);
+                            c
+                        }),
+                    None => self.cur_policy.try_choose(src_r, dst_r, &view, rng),
                 }
+            };
+            let Some(choice) = choice else {
+                // A failure fired while the packet serialized and took
+                // its last route away: it vanishes at the router's door,
+                // returning the node-buffer space it held like an
+                // ordinary ejection credit.
+                self.dropped_flight += 1;
+                if let Some(o) = self.obs.as_deref_mut() {
+                    o.on_drop(pkt, self.now, src_r);
+                }
+                self.schedule(self.now, Ev::NodeCredit { node: src, bytes });
+                self.free.push(pkt);
+                return;
             };
             self.packets[pkt as usize].choice = choice;
             self.packets[pkt as usize].scheme = self.cur_policy.vc_scheme();
-            if let Some(tel) = self.telemetry.as_mut() {
-                tel.on_inject(self.now, src_r, src, dst, bytes, choice.indirect);
-            }
-            if let Some(tr) = self.trace.as_mut() {
-                tr.on_route(pkt, choice.indirect);
+            if let Some(o) = self.obs.as_deref_mut() {
+                o.on_inject(pkt, self.now, src_r, src, dst, bytes, choice.indirect);
             }
             (src_r, self.ports.node_port(self.net, src_r, src), 0u8)
         } else {
@@ -1113,9 +1014,8 @@ impl<'a> Engine<'a> {
             let prev = routers[hop as usize - 1];
             (r, self.ports.network_port(self.net, r, prev), link_vc)
         };
-        if let Some(tr) = self.trace.as_mut() {
-            tr.counters.in_q_pushes += 1;
-            tr.on_arrive_router(pkt, self.now, r, hop);
+        if let Some(o) = self.obs.as_deref_mut() {
+            o.on_arrive(pkt, self.now, r, hop);
         }
         let pv = self.pv(in_port, in_vc);
         self.in_occ[pv] += bytes as u64;
@@ -1164,8 +1064,8 @@ impl<'a> Engine<'a> {
             // (drain-or-drop, DESIGN.md §10).
             self.release_input_head(pv, bytes);
             self.dropped_flight += 1;
-            if let Some(tr) = self.trace.as_mut() {
-                tr.on_drop(pkt, self.now, r);
+            if let Some(o) = self.obs.as_deref_mut() {
+                o.on_drop(pkt, self.now, r);
             }
             self.free.push(pkt);
             if let Some(nx) = self.in_q.front(pv) {
@@ -1180,13 +1080,9 @@ impl<'a> Engine<'a> {
                 self.blocked_flag[pv] = true;
                 self.blocked
                     .push_back(out_port as usize, pv as u32, &mut self.blocked_next);
-                if let Some(tel) = self.telemetry.as_mut() {
+                if let Some(o) = self.obs.as_deref_mut() {
                     let in_vc = (pv as u32 % self.num_vcs) as u8;
-                    tel.on_blocked(self.now, in_port, in_vc, out_port, out_vc);
-                }
-                if let Some(tr) = self.trace.as_mut() {
-                    tr.counters.blocked_entries += 1;
-                    tr.on_blocked(pkt, self.now, r, out_port, out_vc);
+                    o.on_blocked(pkt, self.now, r, in_port, in_vc, out_port, out_vc);
                 }
             }
             return;
@@ -1195,9 +1091,8 @@ impl<'a> Engine<'a> {
         self.release_input_head(pv, bytes);
         self.out_occ[out_pv] += bytes as u64;
         self.packets[pkt as usize].link_vc = out_vc;
-        if let Some(tr) = self.trace.as_mut() {
-            tr.counters.out_q_pushes += 1;
-            tr.on_switch_alloc(pkt, self.now, r, out_port, out_vc);
+        if let Some(o) = self.obs.as_deref_mut() {
+            o.on_switch(pkt, self.now, r, out_port, out_vc);
         }
         self.out_q.push_back(out_pv, pkt, &mut self.pkt_next);
         self.kick_output(out_port);
@@ -1284,9 +1179,8 @@ impl<'a> Engine<'a> {
                     let bytes = self.packets[pkt as usize].bytes;
                     self.out_occ[pv] -= bytes as u64;
                     self.dropped_flight += 1;
-                    if let Some(tr) = self.trace.as_mut() {
-                        let r = self.ports.owner[port as usize];
-                        tr.on_drop(pkt, self.now, r);
+                    if let Some(o) = self.obs.as_deref_mut() {
+                        o.on_drop(pkt, self.now, owner);
                     }
                     self.free.push(pkt);
                     flushed += 1;
@@ -1298,10 +1192,9 @@ impl<'a> Engine<'a> {
                 self.blocked_flag[bpv as usize] = false;
                 self.schedule(self.now, Ev::TrySwitch(bpv));
             }
-            let router = self.ports.owner[port as usize];
-            let peer = self.ports.owner[self.ports.peer[port as usize] as usize];
-            if let Some(tel) = self.telemetry.as_mut() {
-                tel.on_link_down(self.now, router, peer, flushed);
+            if let Some(o) = self.obs.as_deref_mut() {
+                let peer = self.ports.owner[self.ports.peer[port as usize] as usize];
+                o.on_link_down(self.now, owner, peer, flushed);
             }
         }
         self.cur_policy = self.fault_events[i].policy;
@@ -1338,11 +1231,8 @@ impl<'a> Engine<'a> {
             }
             self.rr[out_port as usize] = ((vc as u32 + 1) % self.num_vcs) as u8;
             self.sending[out_port as usize] = (bytes, out_pv as u32);
-            if let Some(tel) = self.telemetry.as_mut() {
-                tel.on_send(self.now, out_port, bytes);
-            }
-            if let Some(tr) = self.trace.as_mut() {
-                tr.on_serialize(pkt, self.now, out_port);
+            if let Some(o) = self.obs.as_deref_mut() {
+                o.on_send(pkt, self.now, out_port, bytes);
             }
             if self.now >= self.warmup_ps {
                 self.sent_bytes[out_port as usize] += bytes as u64;
@@ -1368,7 +1258,7 @@ impl<'a> Engine<'a> {
                     let key = self.next_key();
                     let mut p = self.packets[pkt as usize];
                     p.hop += 1;
-                    let flight = self.trace.as_mut().and_then(|tr| tr.extract_flight(pkt));
+                    let flight = self.obs.as_deref_mut().and_then(|o| o.migrate_out(pkt));
                     self.free.push(pkt);
                     self.outbox.push((arrive, key, OutEv::Arrive(p, flight)));
                 }
@@ -1397,12 +1287,17 @@ impl<'a> Engine<'a> {
             "packet delivered to a router its destination node is not attached to"
         );
         self.delivered += 1;
-        if let Some(tel) = self.telemetry.as_mut() {
+        if let Some(o) = self.obs.as_deref_mut() {
             let r = self.net.node_router(p.dst);
-            tel.on_eject(self.now, r, p.dst, p.src, p.bytes, self.now - p.birth_ps);
-        }
-        if let Some(tr) = self.trace.as_mut() {
-            tr.on_eject(pkt, self.now, self.net.node_router(p.dst));
+            o.on_eject(
+                pkt,
+                self.now,
+                r,
+                p.dst,
+                p.src,
+                p.bytes,
+                self.now - p.birth_ps,
+            );
         }
         if self.now >= self.warmup_ps {
             self.acc.record(
@@ -1476,42 +1371,12 @@ impl<'a> Engine<'a> {
     #[inline]
     fn step(&mut self, t: u64, key: u64, ev: Ev) {
         self.now = t;
-        if self.telemetry.is_some() {
-            self.flush_probe(t);
-        }
-        if let Some(tr) = self.trace.as_mut() {
-            tr.counters.events_popped += 1;
+        if let Some(o) = self.obs.as_deref_mut() {
+            o.on_clock(t, &self.in_occ, &self.out_occ, true);
         }
         self.cur_key = key;
         self.cur_lane = self.lane_of(&ev);
         self.handle(ev);
-    }
-
-    /// Runs until the event horizon `end_ps` (events beyond it are left
-    /// unprocessed) or the queue drains. Returns `true` if the run wedged
-    /// with packets still in flight — a deadlock.
-    fn run(&mut self, end_ps: Option<u64>) -> bool {
-        // Budget/chaos bookkeeping is hoisted behind one branch so the
-        // default (unlimited, chaos-free) hot loop is unchanged.
-        let guarded = !self.cfg.budget.is_unlimited() || self.cfg.chaos.is_some();
-        while let Some(t) = self.queue.peek_time() {
-            if let Some(end) = end_ps {
-                if t > end {
-                    self.now = end;
-                    return false;
-                }
-            }
-            if guarded && self.budget_spent() {
-                return false;
-            }
-            let (t, key, ev) = self.queue.pop().unwrap();
-            self.step(t, key, ev);
-        }
-        let wedged = self.created > self.delivered + self.dropped_flight;
-        if wedged && std::env::var_os("D2NET_DEBUG_WEDGE").is_some() {
-            self.dump_wedge();
-        }
-        wedged
     }
 
     /// One guarded-loop bookkeeping step: counts the pop about to
@@ -1567,7 +1432,7 @@ impl<'a> Engine<'a> {
 
     /// Whether the last run was aborted by its budget (see
     /// [`crate::RunBudget`]); cleared by [`Engine::reset`].
-    pub fn budget_exhausted(&self) -> bool {
+    pub(crate) fn budget_exhausted(&self) -> bool {
         self.exhausted
     }
 
@@ -1579,13 +1444,15 @@ impl<'a> Engine<'a> {
         self.cfg.chaos = chaos;
     }
 
-    // ----- shard-coordinator surface (see `crate::shard`) -----------
+    // ----- run-loop and shard-coordinator surface (see `crate::shard`) -
 
-    /// Drains every queued event with `t < until` — this shard's share
-    /// of one conservative window. Within the window no cross-shard
-    /// influence is possible: anything a sibling shard emits at `t ≥`
-    /// the global minimum arrives a full link latency later, which is
-    /// exactly how `until` is chosen.
+    /// The event loop: drains every queued event with `t < until`, or
+    /// stops early when the run budget trips. A sharded run calls it once
+    /// per conservative window — within a window no cross-shard influence
+    /// is possible, since anything a sibling shard emits at `t ≥` the
+    /// global minimum arrives a full link latency later, which is exactly
+    /// how `until` is chosen. A serial run is one window up to its
+    /// horizon.
     pub(crate) fn run_window(&mut self, until: u64) {
         let guarded = !self.cfg.budget.is_unlimited() || self.cfg.chaos.is_some();
         while let Some(t) = self.queue.peek_time() {
@@ -1615,15 +1482,6 @@ impl<'a> Engine<'a> {
         std::mem::take(&mut self.outbox)
     }
 
-    /// Owning shard of router `r` under this engine's shard layout —
-    /// used by the coordinator to route mailbox items.
-    pub(crate) fn owner_shard(bounds: &[(u32, u32)], r: RouterId) -> usize {
-        bounds
-            .iter()
-            .position(|&(lo, hi)| r >= lo && r < hi)
-            .expect("router outside every shard range")
-    }
-
     /// Destination router of a staged mailbox event.
     pub(crate) fn out_ev_router(&self, ev: &OutEv) -> RouterId {
         match ev {
@@ -1639,13 +1497,8 @@ impl<'a> Engine<'a> {
         match ev {
             OutEv::Arrive(p, flight) => {
                 let id = self.alloc_slot(p);
-                if let Some(tr) = self.trace.as_mut() {
-                    match flight {
-                        Some((k, f)) => tr.implant_flight(id, k, f),
-                        // Unsampled migrant: still reset the slab slot's
-                        // mapping so id recycling can't splice timelines.
-                        None => tr.clear_slot(id),
-                    }
+                if let Some(o) = self.obs.as_deref_mut() {
+                    o.migrate_in(id, flight);
                 }
                 self.queue.push((t, key, Ev::ArriveRouter(id)));
             }
@@ -1664,21 +1517,10 @@ impl<'a> Engine<'a> {
         let t = self.fault_events[i].t_ps;
         debug_invariant!(self.now <= t, "fault applied in this shard's past");
         self.now = t;
-        if self.telemetry.is_some() {
-            self.flush_probe(t);
-        }
-        if self.count_fault_events {
-            if let Some(tr) = self.trace.as_mut() {
-                tr.counters.events_popped += 1;
-            }
+        if let Some(o) = self.obs.as_deref_mut() {
+            o.on_clock(t, &self.in_occ, &self.out_occ, self.count_fault_events);
         }
         self.link_fail(i);
-    }
-
-    /// Forces the clock to the run horizon, mirroring the serial loop's
-    /// `now = end` when events remain beyond it.
-    pub(crate) fn force_now(&mut self, t: u64) {
-        self.now = self.now.max(t);
     }
 
     /// This shard's contribution to the global wedge check:
@@ -1687,8 +1529,8 @@ impl<'a> Engine<'a> {
         (self.created, self.delivered + self.dropped_flight)
     }
 
-    /// Folds a sibling shard's run products into this engine so the
-    /// ordinary finalization path emits merged, serial-identical output.
+    /// Folds a sibling shard's run products into this engine so the one
+    /// finalization path emits merged, serial-identical output.
     /// Element-wise sums are exact because every per-router quantity has
     /// disjoint support across shards.
     pub(crate) fn absorb_shard(&mut self, other: &mut Engine<'a>) {
@@ -1712,152 +1554,9 @@ impl<'a> Engine<'a> {
             };
             self.extra_calendar = Some(merged);
         }
-        if let (Some(t), Some(o)) = (self.telemetry.as_mut(), other.telemetry.take()) {
-            t.absorb(o);
+        if let (Some(o), Some(other)) = (self.obs.as_deref_mut(), other.obs.take()) {
+            o.absorb(*other);
         }
-        if let (Some(t), Some(o)) = (self.trace.as_mut(), other.trace.take()) {
-            t.absorb(o);
-        }
-        if let (Some(l), Some(o)) = (self.ledger.as_mut(), other.ledger.take()) {
-            l.absorb(o);
-        }
-    }
-
-    /// Diagnostic dump of stuck state (enabled via D2NET_DEBUG_WEDGE).
-    fn dump_wedge(&self) {
-        eprintln!(
-            "WEDGE at t={} ps: created={} delivered={} dropped={}",
-            self.now, self.created, self.delivered, self.dropped_flight
-        );
-        let pv_total = self.in_occ.len();
-        let mut in_total = 0usize;
-        let mut printed = 0;
-        for pv in 0..pv_total {
-            let len = self.in_q.len(pv);
-            if len > 0 {
-                in_total += len;
-                let port = pv as u32 / self.num_vcs;
-                let owner = self.ports.owner[port as usize];
-                let is_injection = port - self.ports.base[owner as usize] >= self.net.degree(owner);
-                if !is_injection && printed < 40 {
-                    printed += 1;
-                    let vc = pv as u32 % self.num_vcs;
-                    let head = &self.packets[self.in_q.front(pv).unwrap() as usize];
-                    eprintln!(
-                        "  in_q port={} (router {}, idx {}) vc={} len={} head: hop={} path={:?} ready={} blocked_flag={}",
-                        port,
-                        self.ports.owner[port as usize],
-                        port - self.ports.base[self.ports.owner[port as usize] as usize],
-                        vc,
-                        len,
-                        head.hop,
-                        head.choice.path.routers(),
-                        head.ready_ps,
-                        self.blocked_flag[pv],
-                    );
-                }
-            }
-        }
-        let mut out_total = 0usize;
-        for pv in 0..pv_total {
-            let len = self.out_q.len(pv);
-            if len > 0 {
-                out_total += len;
-                if out_total < 4000 {
-                    let port = pv as u32 / self.num_vcs;
-                    eprintln!(
-                        "  out_q port={} (router {}) vc={} len={} credits={} busy_until={} occ={}",
-                        port,
-                        self.ports.owner[port as usize],
-                        pv as u32 % self.num_vcs,
-                        len,
-                        self.credits[pv],
-                        self.busy_until[port as usize],
-                        self.out_occ[pv],
-                    );
-                }
-            }
-        }
-        eprintln!("  totals: in_q={in_total} out_q={out_total}");
-    }
-
-    /// Reconstructs the wait-for cycle of a wedged run. Call only after
-    /// [`Engine::run`] returned wedged: the frozen buffer state is walked
-    /// as a functional graph — each blocked input FIFO waits on exactly
-    /// one full output buffer, and each credit-starved output buffer
-    /// waits on exactly one downstream input buffer — so the first
-    /// revisited node closes the cycle.
-    fn deadlock_forensics(&self) -> Option<DeadlockReport> {
-        let pv_total = self.in_occ.len();
-        const NONE: u32 = u32::MAX;
-        // Node ids: In(pv) = pv, Out(pv) = pv_total + pv.
-        let mut succ = vec![NONE; 2 * pv_total];
-        for pv in 0..pv_total {
-            if let Some(pkt) = self.in_q.front(pv) {
-                let p = &self.packets[pkt as usize];
-                let in_port = pv as u32 / self.num_vcs;
-                let r = self.ports.owner[in_port as usize];
-                let routers = p.choice.path.routers();
-                let hop = p.hop as usize;
-                let (out_port, out_vc) = if hop == routers.len() - 1 {
-                    (self.ports.node_port(self.net, r, p.dst), 0u8)
-                } else {
-                    let next = routers[hop + 1];
-                    (
-                        self.ports.network_port(self.net, r, next),
-                        vc_for_hop(p.scheme, &p.choice, hop),
-                    )
-                };
-                let out_pv = self.pv(out_port, out_vc);
-                if self.out_occ[out_pv] + p.bytes as u64 > self.vc_cap {
-                    succ[pv] = (pv_total + out_pv) as u32;
-                }
-            }
-            if let Some(pkt) = self.out_q.front(pv) {
-                let port = pv as u32 / self.num_vcs;
-                if !self.ports.is_node_port(self.net, port) {
-                    let bytes = self.packets[pkt as usize].bytes as u64;
-                    if self.credits[pv] < bytes {
-                        let down_port = self.ports.peer[port as usize];
-                        let vc = pv as u32 % self.num_vcs;
-                        succ[pv_total + pv] = down_port * self.num_vcs + vc;
-                    }
-                }
-            }
-        }
-        let mut state = vec![0u8; 2 * pv_total]; // 0 new, 1 on path, 2 done
-        for start in 0..2 * pv_total {
-            if state[start] != 0 {
-                continue;
-            }
-            let mut path = Vec::new();
-            let mut cur = start;
-            loop {
-                if state[cur] == 1 {
-                    let pos = path.iter().position(|&x| x == cur).unwrap();
-                    let cycle = path[pos..]
-                        .iter()
-                        .map(|&id| self.wait_point(id, pv_total))
-                        .collect();
-                    return Some(DeadlockReport {
-                        cycle,
-                        stranded_packets: self.created - self.delivered - self.dropped_flight,
-                        t_ps: self.now,
-                    });
-                }
-                if state[cur] == 2 || succ[cur] == NONE {
-                    state[cur] = 2;
-                    for &x in &path {
-                        state[x] = 2;
-                    }
-                    break;
-                }
-                state[cur] = 1;
-                path.push(cur);
-                cur = succ[cur] as usize;
-            }
-        }
-        None
     }
 
     /// Snapshots one wait-for-graph node for the forensics report.
@@ -1892,76 +1591,18 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Detaches the probe (if any) into its report, running deadlock
-    /// forensics on the frozen state when the run wedged.
-    fn take_probe_report(&mut self, wedged: bool) -> Option<TelemetryReport> {
-        let forensics = if wedged {
-            // A wedged run with no wait-for cycle is a partition (or
-            // otherwise unreachable traffic), not a credit deadlock:
-            // synthesize a cycle-less report so the two render
-            // distinctly (see DeadlockReport::is_partition).
-            self.deadlock_forensics().or(Some(DeadlockReport {
-                cycle: Vec::new(),
-                stranded_packets: self.created - self.delivered - self.dropped_flight,
-                t_ps: self.now,
-            }))
-        } else {
-            None
-        };
-        self.take_probe_report_with(forensics)
-    }
-
-    /// [`Engine::take_probe_report`] with the forensics already computed
-    /// — the sharded runner walks the wait-for graph across every shard
-    /// before absorbing them into one engine.
-    pub(crate) fn take_probe_report_with(
-        &mut self,
-        forensics: Option<DeadlockReport>,
-    ) -> Option<TelemetryReport> {
-        self.telemetry.take().map(|tel| {
-            let mut report = tel.into_report(forensics);
-            // The probe never sees drops or retries directly (they have
-            // no hook of their own); fold the engine counters in so the
-            // summary and manifest surface them.
-            report.total_dropped_packets = self.dropped_flight + self.dropped_injection;
-            report.total_retried_packets = self.retried;
-            report
-        })
-    }
-
-    /// Runs one synthetic workload to `end_ps` **without consuming the
-    /// engine**: afterwards [`Engine::reset`] rewinds it for the next
-    /// point of a sweep, reusing every allocation.
-    pub fn run_synthetic_to(
-        &mut self,
-        load: f64,
-        end_ps: u64,
-    ) -> (SyntheticStats, Option<TelemetryReport>) {
-        let deadlocked = self.run(Some(end_ps));
-        if self.telemetry.is_some() {
-            self.flush_probe(end_ps);
-        }
-        let telemetry = self.take_probe_report(deadlocked);
-        let stats = self.synthetic_stats(load, end_ps, deadlocked);
-        (stats, telemetry)
-    }
-
-    /// Builds the run's [`SyntheticStats`] from the accumulated state and
-    /// finalizes the attached trace/ledger — the tail shared by the
-    /// serial and sharded runners (which differ only in how the run and
-    /// the probe report happen).
+    /// Builds the run's [`SyntheticStats`] from the accumulated (for a
+    /// sharded run: absorbed) state.
     pub(crate) fn synthetic_stats(
-        &mut self,
+        &self,
         load: f64,
         end_ps: u64,
         deadlocked: bool,
     ) -> SyntheticStats {
-        self.finalize_trace(end_ps);
-        self.finalize_ledger();
         // Observer-only: record this run's engine-event count for the
-        // progress layer (serial and sharded runs both finalize here,
-        // on the thread that drove the run — after an `absorb_shard`
-        // merge the count already spans every shard).
+        // progress layer (every run finalizes here, on the thread that
+        // drove it — after an `absorb_shard` merge the count already
+        // spans every shard).
         if crate::obs::enabled() {
             crate::obs::note_run_events(self.events_scheduled);
         }
@@ -1995,46 +1636,9 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Flushes the probe's sample windows to the run horizon — the
-    /// sharded runner's per-shard equivalent of the flush
-    /// [`Engine::run_synthetic_to`] performs after the event loop.
-    pub(crate) fn flush_probe_to(&mut self, t: u64) {
-        if self.telemetry.is_some() {
-            self.flush_probe(t);
-        }
-    }
-
-    /// Runs an exchange until the queue drains, returning the telemetry
-    /// report when a probe was attached; an attached trace or ledger is
-    /// left for [`Engine::take_trace`] / [`Engine::take_ledger`].
-    pub fn run_exchange_to(
-        &mut self,
-        total_bytes: u64,
-    ) -> (ExchangeStats, Option<TelemetryReport>) {
-        let deadlocked = self.run(None);
-        if self.telemetry.is_some() {
-            self.flush_probe(self.now);
-        }
-        let telemetry = self.take_probe_report(deadlocked);
-        let stats = self.exchange_stats(total_bytes, deadlocked);
-        (stats, telemetry)
-    }
-
-    /// Builds the run's [`ExchangeStats`] from the accumulated state and
-    /// finalizes the attached trace/ledger — the tail shared by the
-    /// serial and sharded runners. The trace's measure phase spans the
-    /// injection period (up to the last packet committed into the
-    /// network); the drain phase covers the deliveries, credits and
-    /// wake events that settle afterwards.
-    pub(crate) fn exchange_stats(&mut self, total_bytes: u64, deadlocked: bool) -> ExchangeStats {
-        let measure_end = self
-            .trace
-            .as_ref()
-            .map_or(self.acc.last_delivery_ps, |tr| {
-                tr.last_alloc_ps.min(self.acc.last_delivery_ps)
-            });
-        self.finalize_trace(measure_end);
-        self.finalize_ledger();
+    /// Builds the run's [`ExchangeStats`] from the accumulated (for a
+    /// sharded run: absorbed) state.
+    pub(crate) fn exchange_stats(&self, total_bytes: u64, deadlocked: bool) -> ExchangeStats {
         let completion_ps = self.acc.last_delivery_ps;
         let n = self.net.num_nodes() as f64;
         let effective = if completion_ps > 0 {
@@ -2060,14 +1664,17 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// [`Engine::deadlock_forensics`] across the shards of a wedged sharded
-/// run: the wait-for graph spans shard boundaries (an output starved of
-/// credits waits on a downstream input buffer that may live on another
-/// shard), so each global `pv`'s frozen state is read from the shard
-/// owning its router. Shards hold full-length arrays with only owned
-/// slots populated, so the per-shard reads compose into exactly the walk
-/// the serial engine would have done.
-pub(crate) fn deadlock_forensics_sharded(shards: &[&Engine]) -> Option<DeadlockReport> {
+/// Reconstructs the wait-for cycle of a wedged run from the frozen
+/// buffer state of its engines (one for a serial run, one per shard
+/// otherwise); empty when there is none — a partition, not a credit
+/// deadlock. The state is walked as a functional graph — each blocked
+/// input FIFO waits on exactly one full output buffer, and each
+/// credit-starved output buffer waits on exactly one downstream input
+/// buffer — so the first revisited node closes the cycle. The graph
+/// spans shard boundaries, so each global `pv`'s state is read from the
+/// engine owning its router; shards hold full-length arrays with only
+/// owned slots populated, so the reads compose into the serial walk.
+pub(crate) fn deadlock_cycle(shards: &[&Engine]) -> Vec<WaitPoint> {
     let e0 = shards[0];
     let pv_total = e0.in_occ.len();
     let shard_of = |pv: usize| -> &Engine {
@@ -2115,11 +1722,6 @@ pub(crate) fn deadlock_forensics_sharded(shards: &[&Engine]) -> Option<DeadlockR
             }
         }
     }
-    let stranded: u64 = shards
-        .iter()
-        .map(|s| s.created - s.delivered - s.dropped_flight)
-        .sum();
-    let t_ps = shards.iter().map(|s| s.now).max().unwrap();
     let mut state = vec![0u8; 2 * pv_total];
     for start in 0..2 * pv_total {
         if state[start] != 0 {
@@ -2130,18 +1732,13 @@ pub(crate) fn deadlock_forensics_sharded(shards: &[&Engine]) -> Option<DeadlockR
         loop {
             if state[cur] == 1 {
                 let pos = path.iter().position(|&x| x == cur).unwrap();
-                let cycle = path[pos..]
+                return path[pos..]
                     .iter()
                     .map(|&id| {
                         let pv = if id < pv_total { id } else { id - pv_total };
                         shard_of(pv).wait_point(id, pv_total)
                     })
                     .collect();
-                return Some(DeadlockReport {
-                    cycle,
-                    stranded_packets: stranded,
-                    t_ps,
-                });
             }
             if state[cur] == 2 || succ[cur] == NONE {
                 state[cur] = 2;
@@ -2155,22 +1752,7 @@ pub(crate) fn deadlock_forensics_sharded(shards: &[&Engine]) -> Option<DeadlockR
             cur = succ[cur] as usize;
         }
     }
-    None
-}
-
-/// Cycle-less [`DeadlockReport`] for a wedged sharded run whose wait-for
-/// walk found no cycle — a partition, rendered distinctly (see
-/// [`DeadlockReport::is_partition`]); mirrors the serial fallback in
-/// [`Engine::take_probe_report`].
-pub(crate) fn partition_report_sharded(shards: &[&Engine]) -> DeadlockReport {
-    DeadlockReport {
-        cycle: Vec::new(),
-        stranded_packets: shards
-            .iter()
-            .map(|s| s.created - s.delivered - s.dropped_flight)
-            .sum(),
-        t_ps: shards.iter().map(|s| s.now).max().unwrap(),
-    }
+    Vec::new()
 }
 
 /// Per-node RNG streams for one run, derived from a single draw of the
@@ -2195,39 +1777,29 @@ pub fn preflight(net: &Network, policy: &RoutePolicy, cfg: &SimConfig) -> d2net_
     d2net_verify::verify(net, policy, &cfg.verify_params())
 }
 
-/// Applies the config's [`Preflight`] mode at engine construction:
-/// `Warn` prints a rejected config's report to stderr and proceeds,
-/// `Enforce` refuses with the rendered report as the error.
-fn preflight_gate(net: &Network, policy: &RoutePolicy, cfg: &SimConfig) -> Result<(), String> {
-    if cfg.preflight == Preflight::Off {
-        return Ok(());
-    }
-    let report = preflight(net, policy, cfg);
-    if report.verdict() == Verdict::Rejected {
-        match cfg.preflight {
-            Preflight::Off => unreachable!(),
-            Preflight::Warn => eprintln!("preflight: simulating anyway\n{}", report.render()),
-            Preflight::Enforce => {
-                return Err(format!(
-                    "preflight rejected this configuration:\n{}",
-                    report.render()
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Runs the configured preflight action once and hands back the config
-/// with verification disabled — sweeps simulate the same triple at many
-/// loads, and the static pass is load-independent. An Enforce-rejected
-/// config comes back as `Err` for the sweep to surface as a notice.
+/// Runs the config's [`Preflight`] action once and hands back the config
+/// with verification disabled — a run verifies before building any
+/// engine, and sweeps simulate the same triple at many loads while the
+/// static pass is load-independent. `Warn` prints a rejected config's
+/// report to stderr and proceeds; an `Enforce` rejection comes back as
+/// `Err` carrying the rendered report.
 pub(crate) fn try_preflight_once(
     net: &Network,
     policy: &RoutePolicy,
     mut cfg: SimConfig,
 ) -> Result<SimConfig, String> {
-    preflight_gate(net, policy, &cfg)?;
+    if cfg.preflight != Preflight::Off {
+        let report = preflight(net, policy, &cfg);
+        if report.verdict() == Verdict::Rejected {
+            if cfg.preflight == Preflight::Enforce {
+                return Err(format!(
+                    "preflight rejected this configuration:\n{}",
+                    report.render()
+                ));
+            }
+            eprintln!("preflight: simulating anyway\n{}", report.render());
+        }
+    }
     cfg.preflight = Preflight::Off;
     Ok(cfg)
 }

@@ -13,10 +13,13 @@
 //!   collective [`ExchangeRun`] (A2A / NN) drained to completion
 //!   (effective throughput). [`Observers`] attach a telemetry probe
 //!   ([`telemetry`]), a flight trace ([`trace`]) and a routing-decision
-//!   ledger ([`ledger`]); the [`Run`] carries their output. The run is
-//!   partitioned across router shards in conservative time windows when
-//!   a shard count is requested (or auto picks one), byte-identical to
-//!   serial at every count (see [`shard`]);
+//!   ledger ([`ledger`]); the engine holds them in one observer slot
+//!   ([`observer`]) with one call per event point, and the [`Run`]
+//!   carries their output. The run is partitioned across router shards
+//!   in conservative time windows when a shard count is requested (or
+//!   auto picks one), byte-identical to serial at every count; a serial
+//!   run is the one-shard case, and both finish through the same tail
+//!   (see [`shard`]);
 //! - [`run_synthetic`] / [`run_exchange`] — the observer-free shorthands;
 //! - [`sweep()`] — the offered-load axes of Figs. 6–12: one point per
 //!   load from index-derived seeds, fanned across a worker pool that
@@ -26,13 +29,14 @@
 //!   and a stop signal (see [`supervise`]).
 
 pub mod config;
-pub mod engine;
+mod engine;
 pub mod envcfg;
 pub mod equeue;
 pub mod fault;
 pub mod injector;
 pub mod ledger;
 pub mod obs;
+pub mod observer;
 pub mod par;
 pub mod shard;
 pub mod stats;
@@ -42,20 +46,21 @@ pub mod telemetry;
 pub mod trace;
 
 pub use config::{ChaosKind, EngineChaos, EventQueueKind, Preflight, RunBudget, SimConfig};
-pub use engine::{preflight, Engine, EngineFault};
+pub use engine::preflight;
 pub use equeue::CalendarStats;
 pub use fault::{FaultEvent, FaultSchedule};
 pub use ledger::{
     ledger_metrics, DecisionLedger, DecisionSample, EngineLedger, LedgerConfig, PointLedger,
     PortHeat, RouterDecisionStats, LEDGER_TOP_N, MARGIN_BOUNDS_BYTES,
 };
+pub use observer::Observers;
 pub use par::{par_curves, resolve_threads};
 /// [`run_synthetic`] under its former name. Kept only because the
 /// `perfbench` benchmark calls it; it goes when the benchmark migrates.
 pub use shard::run_synthetic as run_synthetic_sharded;
 pub use shard::{
     plan_shards, run, run_exchange, run_exchange_traced, run_synthetic,
-    run_synthetic_sharded_traced, ExchangeRun, Observers, Run, Synthetic, Workload,
+    run_synthetic_sharded_traced, ExchangeRun, Run, Synthetic, Workload,
 };
 pub use stats::{DelayHistogram, ExchangeStats, SyntheticStats};
 pub use supervise::{
@@ -760,7 +765,7 @@ mod tests {
 
     #[test]
     fn retry_injects_after_policy_recovery_event() {
-        use crate::engine::synthetic_sources;
+        use crate::engine::{synthetic_sources, Engine, EngineFault};
         use rand::rngs::SmallRng;
         use rand::SeedableRng;
 
@@ -794,10 +799,19 @@ mod tests {
                 policy: &full,
             },
         ];
-        let mut engine =
-            Engine::try_new_faulted(&net, &full, cfg, sources, 10_000_000, rng, events)
-                .expect("recovery schedule builds");
-        let (stats, _) = engine.run_synthetic_to(0.3, end_ps);
+        let mut engine = Engine::build(
+            &net,
+            &full,
+            cfg,
+            sources,
+            10_000_000,
+            rng,
+            events,
+            (0, net.num_routers()),
+        )
+        .expect("recovery schedule builds");
+        let work = Synthetic::new(&SyntheticPattern::Uniform, 0.3, 120_000, 10_000);
+        let stats = shard::run_one_shard(&work, &mut engine).stats;
         assert!(!stats.deadlocked);
         assert!(
             stats.retried_packets > 0,

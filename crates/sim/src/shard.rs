@@ -2,8 +2,8 @@
 //! parallelism.
 //!
 //! Routers are partitioned into `k` contiguous shards, each a full
-//! [`Engine`] restricted to its own router range
-//! (`Engine::build_shard`). A coordinator runs the shards in lock-step
+//! `Engine` restricted to its own router range (`Engine::build`). A
+//! coordinator runs the shards in lock-step
 //! **conservative windows** (shard 0 on the coordinator's thread, each
 //! other shard on a worker thread of its own): every cross-router
 //! interaction (a packet's link traversal, a credit's return trip)
@@ -25,25 +25,28 @@
 //!
 //! One coordinator, [`run`], serves every [`Workload`]: a [`Synthetic`]
 //! run stops at its horizon, an [`ExchangeRun`] drains until every
-//! queue and mailbox is empty.
+//! queue and mailbox is empty. A serial run is the one-shard case: one
+//! window up to the horizon on a full-range engine. Serial and sharded
+//! runs end in the same `finish`: the wedge check, the wait-for walk,
+//! the shard merge, the statistics and the observers' outputs.
 //!
 //! Every observable output — [`SyntheticStats`], [`ExchangeStats`],
 //! telemetry reports, traces, ledgers, and the manifests derived from
 //! them — is byte-identical to the serial engine's for every shard
-//! count. The
-//! window protocol, the mailbox merge-ordering proof sketch, and the
-//! shard-layout decisions are documented in DESIGN.md §14.
+//! count. The window protocol, the mailbox merge-ordering proof sketch,
+//! and the shard-layout decisions are documented in DESIGN.md §14.
 
 use crate::config::{EventQueueKind, SimConfig};
 use crate::engine::{
-    deadlock_forensics_sharded, engine_faults, partition_report_sharded, resolve_fault_policies,
-    synthetic_sources, try_preflight_once, Engine, OutEv,
+    deadlock_cycle, engine_faults, resolve_fault_policies, synthetic_sources, try_preflight_once,
+    Engine, OutEv,
 };
 use crate::fault::FaultSchedule;
 use crate::injector::NodeSource;
-use crate::ledger::{EngineLedger, LedgerConfig};
+use crate::ledger::EngineLedger;
+use crate::observer::Observers;
 use crate::stats::{ExchangeStats, SyntheticStats};
-use crate::telemetry::{ProbeConfig, TelemetryReport};
+use crate::telemetry::{DeadlockReport, TelemetryReport};
 use crate::trace::{EngineTrace, TraceConfig};
 use d2net_routing::{Algorithm, RoutePolicy};
 use d2net_topo::Network;
@@ -155,11 +158,19 @@ fn shard_bounds(num_routers: u32, k: usize) -> Vec<(u32, u32)> {
     bounds
 }
 
+/// Owning shard of router `r` under the shard layout `bounds`.
+fn owner_shard(bounds: &[(u32, u32)], r: u32) -> usize {
+    bounds
+        .iter()
+        .position(|&(lo, hi)| r >= lo && r < hi)
+        .expect("router outside every shard range")
+}
+
 /// A mailbox item tagged with its destination shard.
 type Routed = (usize, (u64, u64, OutEv));
 
-/// Coordinator → shard commands. Each of the first two is answered by
-/// exactly one [`Reply`].
+/// Coordinator → shard commands, each answered by exactly one [`Reply`].
+/// A worker stops when the coordinator drops its command sender.
 enum Cmd {
     /// Deliver `inbox` into the shard's queue, then drain every event
     /// with `t < until`.
@@ -170,38 +181,23 @@ enum Cmd {
     /// Apply fault-schedule entry `i` at this barrier — the sharded
     /// equivalent of popping the serial `Ev::LinkFail`.
     Fault(usize),
-    /// Final bookkeeping (clock to `force_to`, the horizon, if events
-    /// remained beyond it; probe flush to `flush_to`); the shard is
-    /// then ready to be absorbed. `inbox` holds mailbox items still
-    /// undelivered at the break — arrivals beyond the horizon. Serial
-    /// keeps the matching events (and their trace flight records)
-    /// queued past `end_ps`, so they are delivered rather than dropped:
-    /// a migrant flight's record travels inside its `OutEv::Arrive` and
-    /// would otherwise vanish from the merged trace.
-    Finish {
-        force_to: Option<u64>,
-        flush_to: u64,
-        inbox: Vec<(u64, u64, OutEv)>,
-    },
 }
 
 /// Shard → coordinator barrier reply: the cross-shard events staged
-/// during the window (already routed to their destination shards), the
-/// shard's next queued timestamp and its clock.
+/// during the window (already routed to their destination shards) and
+/// the shard's next queued timestamp.
 struct Reply {
     shard: usize,
     outbox: Vec<Routed>,
     min_peek: Option<u64>,
-    now: u64,
     /// The shard's run budget tripped inside the window (see
     /// [`crate::RunBudget`]): the coordinator stops opening windows and
     /// finalizes the partial run as exhausted.
     exhausted: bool,
 }
 
-/// Executes one coordinator command on a shard: the barrier reply, or
-/// `None` after [`Cmd::Finish`], when the engine is ready to absorb.
-fn serve(eng: &mut Engine, shard: usize, bounds: &[(u32, u32)], cmd: Cmd) -> Option<Reply> {
+/// Executes one coordinator command on a shard: the barrier reply.
+fn serve(eng: &mut Engine, shard: usize, bounds: &[(u32, u32)], cmd: Cmd) -> Reply {
     match cmd {
         Cmd::Window { until, inbox } => {
             for (t, key, ev) in inbox {
@@ -210,36 +206,21 @@ fn serve(eng: &mut Engine, shard: usize, bounds: &[(u32, u32)], cmd: Cmd) -> Opt
             eng.run_window(until);
         }
         Cmd::Fault(i) => eng.apply_fault(i),
-        Cmd::Finish {
-            force_to,
-            flush_to,
-            inbox,
-        } => {
-            for (t, key, ev) in inbox {
-                eng.deliver(t, key, ev);
-            }
-            if let Some(t) = force_to {
-                eng.force_now(t);
-            }
-            eng.flush_probe_to(flush_to);
-            return None;
-        }
     }
     let outbox = eng
         .take_outbox()
         .into_iter()
         .map(|(t, key, ev)| {
-            let dst = Engine::owner_shard(bounds, eng.out_ev_router(&ev));
+            let dst = owner_shard(bounds, eng.out_ev_router(&ev));
             (dst, (t, key, ev))
         })
         .collect();
-    Some(Reply {
+    Reply {
         shard,
         outbox,
         min_peek: eng.min_peek(),
-        now: eng.now(),
         exhausted: eng.budget_exhausted(),
-    })
+    }
 }
 
 /// A worker thread's loop over shards `1..k`; shard 0 runs on the
@@ -252,35 +233,26 @@ fn shard_worker<'a>(
     tx: mpsc::Sender<Reply>,
 ) -> Engine<'a> {
     for cmd in rx {
-        match serve(&mut eng, shard, bounds, cmd) {
-            Some(reply) => {
-                let _ = tx.send(reply);
-            }
-            None => break,
-        }
+        let _ = tx.send(serve(&mut eng, shard, bounds, cmd));
     }
     eng
 }
 
 /// Takes shard 0's own reply and waits for one [`Reply`] from each of
-/// the other `k − 1` shards, refreshing each shard's queue minimum,
-/// advancing `clock` to the latest shard clock, and routing staged
-/// events into the destination inboxes. Returns whether any shard's run
-/// budget tripped.
+/// the other `k − 1` shards, refreshing each shard's queue minimum and
+/// routing staged events into the destination inboxes. Returns whether
+/// any shard's run budget tripped.
 fn collect_replies(
-    lead: Option<Reply>,
+    lead: Reply,
     rx: &mpsc::Receiver<Reply>,
     k: usize,
     min_peeks: &mut [Option<u64>],
     inboxes: &mut [Vec<(u64, u64, OutEv)>],
-    clock: &mut u64,
 ) -> bool {
-    let lead = lead.expect("window and fault commands are answered");
     let mut exhausted = false;
     let others = (1..k).map(|_| rx.recv().expect("shard worker alive"));
     for r in std::iter::once(lead).chain(others) {
         min_peeks[r.shard] = r.min_peek;
-        *clock = (*clock).max(r.now);
         exhausted |= r.exhausted;
         for (dst, item) in r.outbox {
             inboxes[dst].push(item);
@@ -294,8 +266,8 @@ mod sealed {
 }
 
 /// What one [`run`] simulates: [`Synthetic`] traffic to a horizon or an
-/// [`ExchangeRun`] drained to completion. The window-barrier coordinator
-/// is shared by every workload; a workload only says how an engine's
+/// [`ExchangeRun`] drained to completion. The event loop and the finish
+/// are shared by every workload; a workload only says how an engine's
 /// node sources are built, where the run stops, and how the finished
 /// engine is turned into statistics. Sealed: the two spec types are the
 /// only implementations.
@@ -325,13 +297,10 @@ pub trait Workload: sealed::Sealed {
         lo: u32,
         hi: u32,
     ) -> Vec<NodeSource>;
-    /// The unsharded run on a fully built engine.
+    /// Statistics of a finished run's engine (for a sharded run: the
+    /// merged one).
     #[doc(hidden)]
-    fn run_serial(&self, eng: &mut Engine) -> (Self::Stats, Option<TelemetryReport>);
-    /// Statistics of a sharded run's merged engine (also finalizes its
-    /// trace and ledger).
-    #[doc(hidden)]
-    fn stats(&self, eng: &mut Engine, wedged: bool) -> Self::Stats;
+    fn stats(&self, eng: &Engine, wedged: bool) -> Self::Stats;
 }
 
 /// Steady-state synthetic traffic: `load` is the per-node offered load
@@ -411,11 +380,7 @@ impl Workload for Synthetic<'_> {
         synthetic_sources(net, self.pattern, self.load, self.end_ps(), cfg, rng)
     }
 
-    fn run_serial(&self, eng: &mut Engine) -> (SyntheticStats, Option<TelemetryReport>) {
-        eng.run_synthetic_to(self.load, self.end_ps())
-    }
-
-    fn stats(&self, eng: &mut Engine, wedged: bool) -> SyntheticStats {
+    fn stats(&self, eng: &Engine, wedged: bool) -> SyntheticStats {
         eng.synthetic_stats(self.load, self.end_ps(), wedged)
     }
 }
@@ -479,64 +444,8 @@ impl Workload for ExchangeRun<'_> {
             .collect()
     }
 
-    fn run_serial(&self, eng: &mut Engine) -> (ExchangeStats, Option<TelemetryReport>) {
-        eng.run_exchange_to(self.exchange.total_bytes())
-    }
-
-    fn stats(&self, eng: &mut Engine, wedged: bool) -> ExchangeStats {
+    fn stats(&self, eng: &Engine, wedged: bool) -> ExchangeStats {
         eng.exchange_stats(self.exchange.total_bytes(), wedged)
-    }
-}
-
-/// The observers attached to a run, or to every simulated point of a
-/// sweep. Each is optional, and none perturbs the simulated schedule:
-/// stats are byte-identical with any combination attached.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Observers {
-    /// Telemetry probe: utilization/occupancy series, per-router event
-    /// rings and deadlock forensics (see [`crate::telemetry`]).
-    pub probe: Option<ProbeConfig>,
-    /// Flight trace and hot-loop counters (see [`crate::trace`]).
-    pub trace: Option<TraceConfig>,
-    /// Routing-decision ledger (see [`crate::ledger`]).
-    pub ledger: Option<LedgerConfig>,
-}
-
-impl Observers {
-    /// Just a telemetry probe.
-    pub fn probed(probe: ProbeConfig) -> Self {
-        Observers {
-            probe: Some(probe),
-            ..Self::default()
-        }
-    }
-
-    /// Just a trace recorder.
-    pub fn traced(trace: TraceConfig) -> Self {
-        Observers {
-            trace: Some(trace),
-            ..Self::default()
-        }
-    }
-
-    /// Just a decision ledger.
-    pub fn ledgered(ledger: LedgerConfig) -> Self {
-        Observers {
-            ledger: Some(ledger),
-            ..Self::default()
-        }
-    }
-
-    pub(crate) fn attach(&self, eng: &mut Engine) {
-        if let Some(p) = self.probe {
-            eng.attach_probe(p);
-        }
-        if let Some(t) = self.trace {
-            eng.attach_trace(t);
-        }
-        if let Some(l) = self.ledger {
-            eng.attach_ledger(l);
-        }
     }
 }
 
@@ -550,33 +459,16 @@ pub struct Run<S> {
     pub ledger: Option<EngineLedger>,
 }
 
-impl<S> Run<S> {
-    /// Finalizes an engine whose run produced `stats`: takes the trace
-    /// and ledger it carried.
-    pub(crate) fn from_engine(
-        stats: S,
-        telemetry: Option<TelemetryReport>,
-        eng: &mut Engine,
-    ) -> Self {
-        Run {
-            stats,
-            telemetry,
-            trace: eng.take_trace(),
-            ledger: eng.take_ledger(),
-        }
-    }
-}
-
 /// Runs one workload on `net` under `policy` — the one run core behind
 /// every single run and every sweep point.
 ///
 /// The shard count comes from [`SimConfig::shards`], then
 /// `D2NET_SHARDS`, then the auto heuristic (see [`plan_shards`]);
 /// `cfg.shards = 1` is the serial reference, and the output is
-/// byte-identical at every count. At one shard the run is the plain
-/// serial engine; otherwise it runs the window-barrier protocol and
-/// absorbs every shard into one engine for the ordinary finalization
-/// path.
+/// byte-identical at every count. At one shard the run is one window of
+/// a full-range engine up to the horizon; otherwise the shards run the
+/// window-barrier protocol. Both end in the same finish, which absorbs
+/// every shard into one engine.
 ///
 /// Configuration problems come back as `Err`: warm-up ≥ duration,
 /// buffers too small for the policy's VCs, a [`crate::Preflight::Enforce`]
@@ -597,28 +489,10 @@ pub fn run<W: Workload>(
         .unwrap_or_default();
     let fault_at_zero = schedule.is_some_and(|s| s.events().iter().any(|e| e.t_ns == 0));
     let k = effective_shards(net, policy, &cfg, fault_at_zero);
-
-    if k <= 1 {
-        // Serial fallback: identical to the unsharded entry points.
-        let faults = schedule
-            .map(|s| engine_faults(net, s, &policies))
-            .unwrap_or_default();
-        let mut rng = SmallRng::seed_from_u64(cfg.seed);
-        let sources = work.sources(net, &cfg, &mut rng, 0, net.num_routers());
-        let mut eng =
-            Engine::try_new_faulted(net, policy, cfg, sources, work.warmup_ps(), rng, faults)?;
-        obs.attach(&mut eng);
-        let (stats, tel) = work.run_serial(&mut eng);
-        return Ok(Run::from_engine(stats, tel, &mut eng));
-    }
-
     // The static preflight pass is shard-independent; run it once here
     // rather than once per shard build.
     let cfg = try_preflight_once(net, policy, cfg)?;
     let bounds = shard_bounds(net.num_routers(), k);
-    let fault_times: Vec<u64> = schedule
-        .map(|s| s.events().iter().map(|e| e.t_ns * 1_000).collect())
-        .unwrap_or_default();
 
     let mut engines: Vec<Engine> = Vec::with_capacity(k);
     for (i, &(lo, hi)) in bounds.iter().enumerate() {
@@ -639,7 +513,7 @@ pub fn run<W: Workload>(
         if i != 0 {
             scfg.chaos = None;
         }
-        let mut eng = Engine::build_shard(
+        let mut eng = Engine::build(
             net,
             policy,
             scfg,
@@ -647,22 +521,22 @@ pub fn run<W: Workload>(
             work.warmup_ps(),
             rng,
             faults,
-            lo,
-            hi,
-            i == 0,
+            (lo, hi),
         )?;
-        obs.attach(&mut eng);
+        eng.attach(obs);
         engines.push(eng);
     }
+    if k == 1 {
+        return Ok(run_one_shard(work, &mut engines[0]));
+    }
 
+    let fault_times: Vec<u64> = schedule
+        .map(|s| s.events().iter().map(|e| e.t_ns * 1_000).collect())
+        .unwrap_or_default();
     let link_ps = cfg.link_ps();
     let mut min_peeks: Vec<Option<u64>> = engines.iter_mut().map(|e| e.min_peek()).collect();
     let mut inboxes: Vec<Vec<(u64, u64, OutEv)>> = (0..k).map(|_| Vec::new()).collect();
     let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
-    // Latest event time any shard has handled: where a drained run's
-    // clock stands, as a serial engine's would after its last event.
-    let mut clock = 0u64;
-    let mut at_horizon = false;
     let mut drained = false;
 
     // Shard 0 runs on this thread between sending the other shards'
@@ -703,14 +577,7 @@ pub fn run<W: Workload>(
                     tx.send(Cmd::Fault(next_fault)).expect("shard worker alive");
                 }
                 let own = serve(&mut lead, 0, bounds, Cmd::Fault(next_fault));
-                let _ = collect_replies(
-                    own,
-                    &reply_rx,
-                    k,
-                    &mut min_peeks,
-                    &mut inboxes,
-                    &mut clock,
-                );
+                let _ = collect_replies(own, &reply_rx, k, &mut min_peeks, &mut inboxes);
                 next_fault += 1;
                 continue;
             }
@@ -718,15 +585,10 @@ pub fn run<W: Workload>(
                 // All queues and mailboxes are empty. Serial would
                 // still hold any beyond-horizon LinkFail events, so it
                 // only counts as drained when none are pending.
-                if next_fault < fault_times.len() {
-                    at_horizon = true;
-                } else {
-                    drained = true;
-                }
+                drained = next_fault == fault_times.len();
                 break;
             };
             if horizon.is_some_and(|end| m > end) {
-                at_horizon = true;
                 break;
             }
             // One conservative window: everything below the global
@@ -750,70 +612,80 @@ pub fn run<W: Workload>(
             }
             let inbox = std::mem::take(&mut inboxes[0]);
             let own = serve(&mut lead, 0, bounds, Cmd::Window { until, inbox });
-            if collect_replies(
-                own,
-                &reply_rx,
-                k,
-                &mut min_peeks,
-                &mut inboxes,
-                &mut clock,
-            ) {
+            if collect_replies(own, &reply_rx, k, &mut min_peeks, &mut inboxes) {
                 // A shard's run budget tripped mid-window: stop opening
                 // windows and finalize the partial run — the absorbed
                 // engine's `exhausted` flag marks the stats.
-                at_horizon = true;
                 break;
             }
         }
-        // A horizon run ends with every shard's clock and probe at the
-        // horizon; a drained run flushes every probe to the global
-        // clock, where the serial engine stopped.
-        let (force_to, flush_to) = match horizon {
-            Some(end) => (at_horizon.then_some(end), end),
-            None => (None, clock),
-        };
-        for (i, tx) in (1..k).zip(&cmd_txs) {
-            tx.send(Cmd::Finish {
-                force_to,
-                flush_to,
-                inbox: std::mem::take(&mut inboxes[i]),
-            })
-            .expect("shard worker alive");
-        }
         drop(cmd_txs);
-        let inbox = std::mem::take(&mut inboxes[0]);
-        serve(&mut lead, 0, bounds, Cmd::Finish { force_to, flush_to, inbox });
         handles
             .into_iter()
             .map(|h| h.join().expect("shard worker panicked"))
             .collect()
     });
     let mut engines: Vec<Engine> = std::iter::once(lead).chain(workers).collect();
+    // Mailbox items still undelivered at the break are arrivals beyond
+    // the horizon. Serial keeps the matching events (and their trace
+    // flight records) queued past `end_ps`, so they are delivered rather
+    // than dropped: a migrant flight's record travels inside its
+    // `OutEv::Arrive` and would otherwise vanish from the merged trace.
+    for (eng, inbox) in engines.iter_mut().zip(inboxes) {
+        for (t, key, ev) in inbox {
+            eng.deliver(t, key, ev);
+        }
+    }
+    Ok(finish(work, &mut engines, drained))
+}
 
-    // Wedge check over global counters, mirroring the serial loop's
-    // drained-queue test.
+/// The one-shard run of a full-range engine with its observers attached:
+/// one window up to the workload's horizon (the whole run, for a drained
+/// exchange), then the common [`finish`]. The run drained when no event
+/// is left queued — a budget stop or an event past the horizon is not.
+pub(crate) fn run_one_shard<W: Workload>(work: &W, eng: &mut Engine) -> Run<W::Stats> {
+    eng.run_window(work.horizon_ps().map_or(u64::MAX, |end| end + 1));
+    let drained = eng.min_peek().is_none();
+    finish(work, std::slice::from_mut(eng), drained)
+}
+
+/// The one tail of every run, over its engines (one for a serial run,
+/// one per shard otherwise) once the event loop stopped: flushes every
+/// probe to the horizon (a drained exchange: to the last handled event),
+/// checks a `drained` run for a wedge over the global counters and walks
+/// a wedged run's wait-for graph, absorbs every shard into the first
+/// engine, and turns it into the workload's statistics plus the
+/// observers' outputs.
+pub(crate) fn finish<W: Workload>(
+    work: &W,
+    engines: &mut [Engine],
+    drained: bool,
+) -> Run<W::Stats> {
+    let horizon = work.horizon_ps();
+    let clock = engines.iter().map(Engine::now).max().unwrap_or(0);
+    for eng in engines.iter_mut() {
+        eng.flush_probe(horizon.unwrap_or(clock));
+    }
     let (created, done) = engines.iter().fold((0u64, 0u64), |(c, d), e| {
         let (ec, ed) = e.wedge_counts();
         (c + ec, d + ed)
     });
     let wedged = drained && created > done;
-    let forensics = if wedged {
-        let refs: Vec<&Engine> = engines.iter().collect();
-        Some(
-            deadlock_forensics_sharded(&refs)
-                .unwrap_or_else(|| partition_report_sharded(&refs)),
-        )
-    } else {
-        None
-    };
-
-    let (first, rest) = engines.split_first_mut().expect("k >= 2 shards");
-    for other in rest.iter_mut() {
+    // A wedged run with no wait-for cycle is a partition (or otherwise
+    // unreachable traffic), not a credit deadlock: its report carries no
+    // cycle, so the two render distinctly (see
+    // `DeadlockReport::is_partition`).
+    let forensics = wedged.then(|| DeadlockReport {
+        cycle: deadlock_cycle(&engines.iter().collect::<Vec<_>>()),
+        stranded_packets: created - done,
+        t_ps: clock,
+    });
+    let (first, rest) = engines.split_first_mut().expect("a run has an engine");
+    for other in rest {
         first.absorb_shard(other);
     }
-    let telemetry = first.take_probe_report_with(forensics);
     let stats = work.stats(first, wedged);
-    Ok(Run::from_engine(stats, telemetry, first))
+    first.detach(stats, horizon, forensics)
 }
 
 /// Runs steady-state synthetic traffic on `net` under `policy`: [`run`]

@@ -24,7 +24,8 @@
 
 use crate::config::{ChaosKind, EngineChaos, SimConfig};
 use crate::ledger::{EngineLedger, PointLedger};
-use crate::shard::{Observers, Synthetic};
+use crate::observer::Observers;
+use crate::shard::Synthetic;
 use crate::stats::SyntheticStats;
 use crate::sweep::{point_seed, PointRunner, SweepNotice, SweepOutcome, SweepPoint};
 use crate::telemetry::TelemetrySummary;

@@ -8,9 +8,10 @@
 //! results at every thread count.
 
 use crate::config::{EngineChaos, SimConfig};
-use crate::engine::{synthetic_sources, Engine};
+use crate::engine::Engine;
 use crate::ledger::PointLedger;
-use crate::shard::{Observers, Run, Synthetic, Workload};
+use crate::observer::Observers;
+use crate::shard::{run_one_shard, Run, Synthetic, Workload};
 use crate::stats::SyntheticStats;
 use crate::supervise::{pool, SuperviseConfig, SuperviseHooks};
 use crate::telemetry::TelemetrySummary;
@@ -226,9 +227,9 @@ pub fn point_seed(base: u64, idx: usize) -> u64 {
 }
 
 /// Simulates successive points of one sweep on a single reusable
-/// [`Engine`]: the first point builds it, later points [`Engine::reset`]
-/// it, so the flat per-port state is allocated once per sweep worker
-/// instead of once per point.
+/// engine: the first point builds it, later points reset it, so the flat
+/// per-port state is allocated once per sweep worker instead of once per
+/// point.
 pub(crate) struct PointRunner<'a> {
     net: &'a Network,
     policy: &'a RoutePolicy,
@@ -304,29 +305,32 @@ impl<'a> PointRunner<'a> {
             return crate::shard::run(self.net, self.policy, &spec, pcfg, obs)
                 .expect("point parameters were validated in try_new");
         }
-        let end_ps = spec.duration_ns * 1_000;
-        let warmup_ps = spec.warmup_ns * 1_000;
+        let warmup_ps = spec.warmup_ps();
         let seed = point_seed(self.cfg.seed, idx);
         let mut rng = SmallRng::seed_from_u64(seed);
-        let sources = synthetic_sources(self.net, spec.pattern, load, end_ps, &self.cfg, &mut rng);
+        let sources = spec.sources(self.net, &self.cfg, &mut rng, 0, self.net.num_routers());
         let engine = match &mut self.engine {
             Some(e) => {
                 e.reset(sources, warmup_ps, rng);
                 e
             }
-            None => self.engine.insert(Engine::new(
-                self.net,
-                self.policy,
-                self.cfg,
-                sources,
-                warmup_ps,
-                rng,
-            )),
+            None => self.engine.insert(
+                Engine::build(
+                    self.net,
+                    self.policy,
+                    self.cfg,
+                    sources,
+                    warmup_ps,
+                    rng,
+                    Vec::new(),
+                    (0, self.net.num_routers()),
+                )
+                .expect("point parameters were validated in try_new"),
+            ),
         };
         engine.set_point(seed, self.chaos.or(self.cfg.chaos));
-        obs.attach(engine);
-        let (stats, telemetry) = engine.run_synthetic_to(load, end_ps);
-        Run::from_engine(stats, telemetry, engine)
+        engine.attach(obs);
+        run_one_shard(&spec, engine)
     }
 
     /// [`PointRunner::run_point`] behind `catch_unwind`: a panicking

@@ -13,9 +13,9 @@
 //! (port, VC) pairs with their occupancies, head-packet routes and missing
 //! credits.
 //!
-//! The probe is **zero-overhead when disabled**: the engine stores an
-//! `Option<Telemetry>` and the event loop pays exactly one branch per
-//! event when it is `None`. When enabled, all series storage is
+//! The probe is **zero-overhead when disabled**: it lives in the engine's
+//! one observer slot ([`crate::observer`]), and the event loop pays
+//! exactly one branch per event point when the slot is empty. When enabled, all series storage is
 //! preallocated at attach time and samples are taken lazily when event
 //! time crosses a window boundary — the event heap never carries probe
 //! events, so the simulated schedule is identical with and without the

@@ -1,11 +1,12 @@
 //! Structured tracing for the simulator: span profiling, a sampled
 //! packet flight recorder, hot-loop counters and a metrics registry.
 //!
-//! Three coordinated pieces, all following the telemetry probe's
-//! zero-overhead discipline (the engine stores an `Option<TraceRecorder>`
-//! and the hot loop pays one branch per hook site when it is `None`;
-//! recorded state never feeds back into the simulation, so stats are
-//! byte-identical with tracing on or off):
+//! Three coordinated pieces, all following the observer slot's
+//! zero-overhead discipline (the recorder lives in the engine's one
+//! observer slot, [`crate::observer`], and the hot loop pays one branch
+//! per event point when the slot is empty; recorded state never feeds
+//! back into the simulation, so stats are byte-identical with tracing on
+//! or off):
 //!
 //! - **engine phase spans** ([`PhaseSpan`]) — the sim-time extents of the
 //!   warmup, measurement and drain phases of a run, plus wall-clock
@@ -195,9 +196,8 @@ pub struct PointTrace {
     pub trace: EngineTrace,
 }
 
-/// Live recorder owned by the engine during a traced run. All hooks are
-/// called behind the engine's single `Option` branch and never touch
-/// simulation state.
+/// Live recorder held in the engine's observer slot during a traced
+/// run. Its hooks never touch simulation state.
 #[derive(Debug)]
 pub struct TraceRecorder {
     cfg: TraceConfig,
@@ -211,7 +211,6 @@ pub struct TraceRecorder {
     /// entry's current occupant is unsampled). Re-assigned on every
     /// alloc, so slab id recycling can never cross flight timelines.
     slot: Vec<u32>,
-    pub(crate) counters: HotCounters,
     eligible: u64,
     /// Flights this recorder recorded *at alloc time* (migrants implanted
     /// by other shards excluded). The flight cap compares against this,
@@ -232,7 +231,6 @@ impl TraceRecorder {
             cfg,
             flights: Vec::new(),
             slot: Vec::new(),
-            counters: HotCounters::default(),
             eligible: 0,
             alloc_recorded: 0,
             last_alloc_ps: 0,
@@ -323,20 +321,11 @@ impl TraceRecorder {
 
     /// Folds another shard's recorder in after a sharded run: flights
     /// concatenate (each lives in exactly one recorder once the run
-    /// stops), counters sum, the final sort in
-    /// [`TraceRecorder::finish`] restores global alloc order. Slab
-    /// mappings are shard-local and meaningless after the merge.
+    /// stops), the final sort in [`TraceRecorder::finish`] restores
+    /// global alloc order. Slab mappings are shard-local and meaningless
+    /// after the merge.
     pub(crate) fn absorb(&mut self, other: TraceRecorder) {
         self.flights.extend(other.flights);
-        self.counters.events_popped += other.counters.events_popped;
-        self.counters.events_scheduled += other.counters.events_scheduled;
-        self.counters.in_q_pushes += other.counters.in_q_pushes;
-        self.counters.out_q_pushes += other.counters.out_q_pushes;
-        self.counters.blocked_entries += other.counters.blocked_entries;
-        self.counters.calendar = match (self.counters.calendar, other.counters.calendar) {
-            (Some(a), Some(b)) => Some(a.merged(&b)),
-            (a, b) => a.or(b),
-        };
         self.eligible += other.eligible;
         self.alloc_recorded += other.alloc_recorded;
         self.last_alloc_ps = self.last_alloc_ps.max(other.last_alloc_ps);
@@ -450,10 +439,11 @@ impl TraceRecorder {
         }
     }
 
-    /// Finalizes the recorder into an [`EngineTrace`]. `measure_end_ps`
-    /// is the statistics horizon (synthetic: the run's `end_ps`;
-    /// exchange: the last delivery); `final_ps` is the engine clock when
-    /// the event loop stopped.
+    /// Finalizes the recorder into an [`EngineTrace`] carrying the run's
+    /// `counters`. `measure_end_ps` is the statistics horizon
+    /// (synthetic: the run's `end_ps`; exchange: the last injection, at
+    /// most the last delivery); `final_ps` is the engine clock when the
+    /// event loop stopped.
     ///
     /// Flights are emitted sorted by their alloc `(t_ps, key)` schedule
     /// key and truncated to [`TraceConfig::max_flights`]. Serial runs
@@ -463,15 +453,12 @@ impl TraceRecorder {
     /// rejected (each shard's cap admits a superset of the serial sample
     /// restricted to its sources).
     pub(crate) fn finish(
-        mut self,
+        self,
+        counters: HotCounters,
         warmup_ps: u64,
         measure_end_ps: u64,
         final_ps: u64,
-        events_scheduled: u64,
-        calendar: Option<CalendarStats>,
     ) -> EngineTrace {
-        self.counters.events_scheduled = events_scheduled;
-        self.counters.calendar = calendar;
         let mut keyed: Vec<((u64, u64), PacketFlight)> =
             self.flights.into_iter().flatten().collect();
         keyed.sort_by_key(|&(k, _)| k);
@@ -499,7 +486,7 @@ impl TraceRecorder {
             cfg: self.cfg,
             phases,
             flights,
-            counters: self.counters,
+            counters,
             eligible_flights: self.eligible,
         }
     }
@@ -763,7 +750,11 @@ mod tests {
         // Slab slot 0 is recycled by a new, also-sampled flight.
         tr.on_alloc(0, 2, (1_000, 2), 1_000, 6, 11, 21, 256, 950);
         tr.on_drop(0, 1_200, 6);
-        let t = tr.finish(0, 2_000, 2_000, 42, None);
+        let counters = HotCounters {
+            events_scheduled: 42,
+            ..HotCounters::default()
+        };
+        let t = tr.finish(counters, 0, 2_000, 2_000);
         assert_eq!(t.flights.len(), 2);
         assert_eq!(t.flights[0].flight_id, 1);
         assert_eq!(t.flights[0].delivered_ps, Some(900));
@@ -786,7 +777,7 @@ mod tests {
         tr.on_arrive_router(3, 10, 0, 0);
         tr.on_arrive_router(3, 20, 1, 1); // over the cap
         tr.on_eject(3, 30, 1);
-        let t = tr.finish(0, 100, 100, 0, None);
+        let t = tr.finish(HotCounters::default(), 0, 100, 100);
         assert_eq!(t.flights[0].events.len(), 2);
         assert!(t.flights[0].truncated);
         // Terminal metadata still lands even when the event was cut.
@@ -815,7 +806,7 @@ mod tests {
         b.on_eject(7, 900, 9);
         a.on_eject(1, 400, 5);
         b.absorb(a);
-        let t = b.finish(0, 1_000, 1_000, 0, None);
+        let t = b.finish(HotCounters::default(), 0, 1_000, 1_000);
         // Sorted by alloc key, not merge order.
         assert_eq!(t.flights.len(), 2);
         assert_eq!(t.flights[0].flight_id, 1);
@@ -828,7 +819,7 @@ mod tests {
     #[test]
     fn phase_spans_partition_the_run() {
         let tr = TraceRecorder::new(TraceConfig::default());
-        let t = tr.finish(5_000, 20_000, 26_000, 0, None);
+        let t = tr.finish(HotCounters::default(), 5_000, 20_000, 26_000);
         assert_eq!(t.phases.len(), 3);
         assert_eq!((t.phases[0].start_ps, t.phases[0].end_ps), (0, 5_000));
         assert_eq!((t.phases[1].start_ps, t.phases[1].end_ps), (5_000, 20_000));

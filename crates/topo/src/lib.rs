@@ -30,7 +30,7 @@ pub use fault::FaultSet;
 pub use graph::{Network, NodeId, RouterId};
 pub use io::{from_edge_list, to_dot, to_edge_list};
 pub use hyperx::{hyperx2, hyperx2_balanced, HyperX2Params};
-pub use mlfm::{mlfm, mlfm_general, MlfmLayout, MlfmParams};
+pub use mlfm::{mlfm, mlfm_general, try_mlfm, MlfmLayout, MlfmParams};
 pub use oft::{ml3b, oft, oft_general, try_oft, try_oft_general, OftParams};
 pub use random::random_connected;
 pub use slimfly::{slim_fly, try_slim_fly, SlimFlyP, SlimFlyParams};

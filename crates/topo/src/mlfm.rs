@@ -117,6 +117,15 @@ pub fn mlfm(h: u64) -> Network {
     mlfm_general(h, h, h as u32)
 }
 
+/// Fallible variant of [`mlfm`]: returns an error instead of panicking
+/// when `h = 0` (no MLFM has radix-0 routers).
+pub fn try_mlfm(h: u64) -> Result<Network, String> {
+    if h == 0 {
+        return Err("MLFM construction requires h >= 1, got h = 0".into());
+    }
+    Ok(mlfm(h))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -53,7 +53,19 @@ fn tracing_does_not_perturb_stats() {
     // The exchange runner makes the same promise.
     let ex = all_to_all(net.num_nodes(), 512);
     let base = run_exchange(&net, &policy, &ex, 1, cfg);
-    let (stats, trace) = run_exchange_traced(&net, &policy, &ex, 1, cfg, TraceConfig::default());
+    let work = ExchangeRun {
+        exchange: &ex,
+        window: 1,
+    };
+    let traced = run(
+        &net,
+        &policy,
+        &work,
+        cfg,
+        Observers::traced(TraceConfig::default()),
+    )
+    .unwrap();
+    let (stats, trace) = (traced.stats, traced.trace.expect("trace was attached"));
     assert_eq!(base, stats);
     assert!(!trace.flights.is_empty(), "A2A must sample some flights");
     // A run-to-completion exchange has a real drain phase.
